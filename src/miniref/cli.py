@@ -77,11 +77,7 @@ def cmd_apply(args) -> int:
     engine = Engine(graph, _load_definitions(args.defs))
     if args.at:
         line, col = _parse_at(args.at)
-        nid = graph.lookup_at(module.name, line, col)
-        if nid is None:
-            print(f"no expression at {line}:{col}", file=sys.stderr)
-            return USAGE
-        target = graph.node(nid)
+        target = graph.node(graph.lookup_at(module.name, line, col))
     elif args.fun:
         fname, _, arity = args.fun.partition("/")
         key = (module.name, fname, int(arity))
@@ -264,7 +260,7 @@ def main(argv=None) -> int:
     except (MiniErlangSyntaxError, ReflSyntaxError, GraphError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
     except ValueError as e:

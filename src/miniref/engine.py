@@ -100,6 +100,9 @@ class Engine:
         except RefacFail as e:
             self.graph.txn_rollback()
             return RefOutcome.failure(str(e))
+        except BaseException:
+            self.graph.txn_rollback()
+            raise
         self.graph.txn_commit()
         return RefOutcome.success(result)
 
@@ -145,15 +148,16 @@ class Engine:
 
     # -- single rule application ------------------------------------------------
 
-    def _survivors(self, step: RuleStep, target: t.Node, ctx: ExecContext):
-        candidates = match(step.matching, target, ctx.bindings)
+    def _survivors(self, step: RuleStep, node: t.Node, seed: Bindings) -> list[Bindings]:
+        """The matches of `step` at `node` that extend `seed` and satisfy the
+        step's condition, with the bindings the condition adds."""
         out = []
-        for cand in candidates:
+        for cand in match(step.matching, node, seed):
             if step.condition is None:
                 out.append(cand)
                 continue
             try:
-                ok, nb = eval_condition(step.condition, cand, self.graph, target)
+                ok, nb = eval_condition(step.condition, cand, self.graph, node)
             except SemError as e:
                 raise RefacFail(str(e)) from None
             if ok:
@@ -161,7 +165,7 @@ class Engine:
         return out
 
     def apply_rule_at(self, step: RuleStep, target: t.Node, ctx: ExecContext) -> t.Node:
-        survivors = self._survivors(step, target, ctx)
+        survivors = self._survivors(step, target, ctx.bindings)
         if not survivors:
             raise RefacFail(f"rule does not apply at {type(target).__name__}")
         if len(survivors) > 1:
@@ -203,7 +207,7 @@ class Engine:
             for node in targets:
                 if node.nid not in self.graph.objects:
                     continue  # consumed by an earlier rewrite
-                if len(self._survivors(step, node, ctx)) == 1:
+                if len(self._survivors(step, node, ctx.bindings)) == 1:
                     applied = self.apply_rule_at(step, node, ctx)
             if applied is None:
                 raise RefacFail("rule applies nowhere in the subtree")
@@ -242,6 +246,9 @@ class Engine:
                 self.graph.txn_rollback()
                 failed = str(e)
                 continue
+            except BaseException:
+                self.graph.txn_rollback()
+                raise
             self.graph.txn_commit()
             failed = None
         if failed is not None:
@@ -351,7 +358,7 @@ class Engine:
         return fn
 
     def _rewrite_call(self, step: RuleStep, call: t.Call, ctx: ExecContext) -> t.Call:
-        survivors = self._survivors(step, call, ctx)
+        survivors = self._survivors(step, call, ctx.bindings)
         if len(survivors) != 1:
             raise RefacFail("signature rule must match each site exactly once")
         out = instantiate(step.replacement, survivors[0])
@@ -364,7 +371,7 @@ class Engine:
 
     def run_forward_dataflow(self, d: SchemeDef, ctx: ExecContext) -> t.Node:
         target = self._as_node(ctx.this)
-        survivors = self._survivors(d.definition, target, ctx)
+        survivors = self._survivors(d.definition, target, ctx.bindings)
         if len(survivors) != 1:
             raise RefacFail("definition rule must match the target exactly once")
         def_b = survivors[0]
@@ -409,15 +416,7 @@ class Engine:
                 seeded = seed.bind(refvar, anc if anc is node else node)
                 if seeded is None:
                     continue
-                results = match(step.matching, anc, seeded)
-                survivors = []
-                for cand in results:
-                    if step.condition is None:
-                        survivors.append(cand)
-                    else:
-                        ok, nb = eval_condition(step.condition, cand, self.graph, anc)
-                        if ok:
-                            survivors.append(nb)
+                survivors = self._survivors(step, anc, seeded)
                 if len(survivors) == 1:
                     return (anc, step, survivors[0])
             parent = self.graph.parent(anc.nid)
@@ -431,7 +430,7 @@ class Engine:
             seeded = ctx.bindings.bind(refvar, target)
             if seeded is None:
                 continue
-            survivors = self._survivors_with_seed(step, target, seeded)
+            survivors = self._survivors(step, target, seeded)
             if len(survivors) == 1:
                 ref_match = (refvar, step, survivors[0])
                 break
@@ -454,7 +453,7 @@ class Engine:
         per_source: list[tuple[t.Node, Bindings]] = []
         for src in sources:
             node = self.graph.node(src)
-            survivors = self._survivors_with_seed(d.definition, node, shared)
+            survivors = self._survivors(d.definition, node, shared)
             if len(survivors) != 1:
                 raise RefacFail("definition rule must match each data source exactly once")
             b = survivors[0]
@@ -485,17 +484,6 @@ class Engine:
         new_ref = self.graph.txn_replace(target.nid, out[0] if len(out) == 1 else t.Block(out))
         ctx.this = self.graph.node(new_ref)
         return ctx.this
-
-    def _survivors_with_seed(self, step: RuleStep, node: t.Node, seed: Bindings):
-        out = []
-        for cand in match(step.matching, node, seed):
-            if step.condition is None:
-                out.append(cand)
-            else:
-                ok, nb = eval_condition(step.condition, cand, self.graph, node)
-                if ok:
-                    out.append(nb)
-        return out
 
     # -- composites and selectors ---------------------------------------------------
 

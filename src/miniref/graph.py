@@ -2,8 +2,19 @@
 
 The graph indexes every syntactic node by id and adds semantic nodes for
 modules, functions and variables, together with reference, defines and
-dataflow edges.  Mutation happens only inside transactions; rollback restores
-a state structurally equal to the pre-transaction one.
+dataflow edges.
+
+Maintenance is proportional to the edit.  The node indexes (`objects`,
+`parents`, `node_module`) are updated for the removed and inserted subtrees
+only.  The semantic indexes (everything `rebuild()` derives: scopes,
+variables, dataflow, functions, references, purity, ordering) are dropped by
+an edit and recomputed, all at once by `rebuild()`, on the first read after
+it.
+
+Mutation happens only inside transactions.  Every mutation of the trees and
+of the pending source edits appends its old value to an undo log;
+`txn_begin` marks the log, and rollback replays it back to the mark, so the
+trees hold the original node objects again and print byte-identically.
 
 Scoping follows the conservative subset rules: single assignment, bindings
 flow forward through a clause, fun parameters open a fresh binder, and a
@@ -12,8 +23,7 @@ variable bound in only some case branches is unbound after the case.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import tree as t
 from .printer import print_expr, splice
@@ -54,11 +64,43 @@ class VarSem:
     occurrences: list[NodeRef] = field(default_factory=list)
 
 
+class _SemanticIndex:
+    """A semantic index of `SemanticGraph`, computed by `rebuild()`.
+
+    `rebuild()` stores the index as an instance attribute, which shadows this
+    (non-data) descriptor; an edit deletes the attribute, so the next read
+    lands here and runs `rebuild()` once for every index.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, graph, owner=None):
+        if graph is None:
+            return self
+        graph.rebuild()
+        return graph.__dict__[self.name]
+
+
 class SemanticGraph:
+    order = _SemanticIndex()
+    scope_in = _SemanticIndex()
+    var_of = _SemanticIndex()
+    unbound = _SemanticIndex()
+    flow_out = _SemanticIndex()
+    flow_in = _SemanticIndex()
+    functions = _SemanticIndex()
+    module_sems = _SemanticIndex()
+    opaque = _SemanticIndex()
+    sems = _SemanticIndex()
+    _fun_names = _SemanticIndex()
+
     def __init__(self, modules: list[t.SourceModule]):
         self.modules = modules
         self.edits: dict[str, list[list]] = {m.name: [] for m in modules}
-        self._txn_stack: list = []
+        self._pending: dict[int, list] = {}  # replacement root nid -> its edit
+        self._undo: list[tuple] = []  # (object, field/index/slice, old value)
+        self._marks: list[int] = []  # undo-log length at each open txn_begin
         self._sem_ids: dict = {}
         self._detached: dict[int, t.Node] = {}
         self.rebuild()
@@ -66,7 +108,8 @@ class SemanticGraph:
     # -- indexing ------------------------------------------------------------
 
     def rebuild(self) -> None:
-        self.objects: dict[int, object] = {}
+        """Recompute every index from the module trees."""
+        self.objects: dict[int, t.Node] = {}
         self.parents: dict[int, int] = {}
         self.order: dict[int, int] = {}
         self.node_module: dict[int, str] = {}
@@ -78,13 +121,14 @@ class SemanticGraph:
         self.functions: dict[tuple[str, str, int], FunctionSem] = {}
         self.module_sems: dict[str, ModuleSem] = {}
         self.opaque: dict[str, list[int]] = {m.name: [] for m in self.modules}
+        self.sems: dict[int, ModuleSem | FunctionSem | VarSem] = {}
         self._fun_names: dict[tuple[str, str, int], set[str]] = {}
 
         counter = 0
         for mod in self.modules:
             seen: set[tuple[str, int]] = set()
             self.module_sems[mod.name] = ModuleSem(self._sem_id(("mod", mod.name)), mod.name)
-            self.objects[self.module_sems[mod.name].sid] = self.module_sems[mod.name]
+            self.sems[self.module_sems[mod.name].sid] = self.module_sems[mod.name]
             for node in t.walk(mod):
                 self.objects[node.nid] = node
                 self.node_module[node.nid] = mod.name
@@ -104,14 +148,35 @@ class SemanticGraph:
                 fn.form = form.nid
                 fn.clauses = [c.nid for c in form.clauses]
                 self.functions[fkey] = fn
-                self.objects[fn.sid] = fn
+                self.sems[fn.sid] = fn
         for mod in self.modules:
             for form in mod.forms:
                 self._analyze_form(mod, form)
         self._collect_refs()
         self._compute_purity()
-        for nid, obj in getattr(self, "_detached", {}).items():
+        for nid, obj in self._detached.items():
             self.objects.setdefault(nid, obj)
+
+    def _invalidate(self) -> None:
+        """Drop the semantic indexes; the next read of one rebuilds them all."""
+        for name, attr in vars(SemanticGraph).items():
+            if isinstance(attr, _SemanticIndex):
+                self.__dict__.pop(name, None)
+
+    def _unindex(self, root: t.Node) -> None:
+        for n in t.walk(root):
+            self.parents.pop(n.nid, None)
+            self.node_module.pop(n.nid, None)
+            if n.nid not in self._detached:
+                self.objects.pop(n.nid, None)
+
+    def _index(self, root: t.Node, parent: t.Node, module_name: str) -> None:
+        self.parents[root.nid] = parent.nid
+        for n in t.walk(root):
+            self.objects[n.nid] = n
+            self.node_module[n.nid] = module_name
+            for child in t.children(n):
+                self.parents[child.nid] = n.nid
 
     def _sem_id(self, key) -> int:
         if key not in self._sem_ids:
@@ -137,10 +202,10 @@ class SemanticGraph:
 
     def _var_sem(self, fkey, name: str, binder: t.Var | None, anchor: int) -> VarSem:
         sid = self._sem_id(("var", fkey, name, anchor))
-        sem = self.objects.get(sid)
-        if not isinstance(sem, VarSem):
+        sem = self.sems.get(sid)
+        if sem is None:
             sem = VarSem(sid, name)
-            self.objects[sid] = sem
+            self.sems[sid] = sem
         return sem
 
     def _bind_pattern(self, pat: t.Expr, env: dict[str, VarSem], fkey, fresh: bool = False) -> None:
@@ -368,14 +433,10 @@ class SemanticGraph:
     def node(self, ref: NodeRef):
         obj = self.objects.get(ref)
         if obj is None:
+            obj = self.sems.get(ref)
+        if obj is None:
             raise GraphError(f"dangling node reference {ref}")
         return obj
-
-    def module_of(self, ref: NodeRef) -> t.SourceModule:
-        name = self.node_module.get(ref)
-        if name is None:
-            raise GraphError(f"node {ref} is not part of any module")
-        return self.module(name)
 
     def module(self, name: str) -> t.SourceModule:
         for m in self.modules:
@@ -471,40 +532,65 @@ class SemanticGraph:
 
     # -- transactions --------------------------------------------------------
 
-    @property
-    def in_txn(self) -> bool:
-        return bool(self._txn_stack)
-
     def txn_begin(self) -> None:
-        self._txn_stack.append(copy.deepcopy((self.modules, self.edits)))
+        self._marks.append(len(self._undo))
 
     def txn_commit(self) -> None:
-        if not self._txn_stack:
+        if not self._marks:
             raise GraphError("commit with no open transaction")
-        self._txn_stack.pop()
+        self._marks.pop()
+        if not self._marks:
+            self._undo.clear()
 
     def txn_rollback(self) -> None:
-        if not self._txn_stack:
+        if not self._marks:
             raise GraphError("rollback with no open transaction")
-        self.modules, self.edits = self._txn_stack.pop()
+        mark = self._marks.pop()
+        while len(self._undo) > mark:
+            obj, key, old = self._undo.pop()
+            if isinstance(obj, list):
+                obj[key] = old
+            else:
+                setattr(obj, key, old)
+        self._pending = {
+            r.nid: e for edits in self.edits.values() for e in edits for r in _roots(e[1])
+        }
         self.rebuild()
+
+    def _assign(self, obj, key, value) -> None:
+        """`obj[key] = value` (a setattr for a node), logged for rollback."""
+        if isinstance(obj, list):
+            self._undo.append((obj, key, obj[key]))
+            obj[key] = value
+        else:
+            self._undo.append((obj, key, getattr(obj, key)))
+            setattr(obj, key, value)
+
+    def _splice(self, seq: list, i: int, j: int, items: list) -> None:
+        """`seq[i:j] = items`, logged for rollback."""
+        self._undo.append((seq, slice(i, i + len(items)), seq[i:j]))
+        seq[i:j] = items
 
     def _record_edit(self, module_name: str, span: tuple[int, int], replacement) -> None:
         edits = self.edits[module_name]
-        kept = []
-        for e in edits:
+        superseded = []
+        for i, e in enumerate(edits):
             (a, b) = e[0]
             if span[0] <= a and b <= span[1]:
-                continue  # superseded by the enclosing edit
-            if b <= span[0] or span[1] <= a:
-                kept.append(e)
-            else:
+                superseded.append(i)  # superseded by the enclosing edit
+            elif not (b <= span[0] or span[1] <= a):
                 raise GraphError(f"conflicting edit spans {e[0]} and {span}")
-        kept.append([span, replacement])
-        self.edits[module_name] = kept
+        for i in reversed(superseded):
+            for r in _roots(edits[i][1]):
+                del self._pending[r.nid]
+            self._splice(edits, i, i + 1, [])
+        edit = [span, replacement]
+        self._splice(edits, len(edits), len(edits), [edit])
+        for r in _roots(replacement):
+            self._pending[r.nid] = edit
 
     def txn_replace(self, target: NodeRef, new) -> NodeRef:
-        if not self._txn_stack:
+        if not self._marks:
             raise GraphError("replace outside transaction")
         old = self.node(target)
         if isinstance(old, (FunctionSem, ModuleSem, VarSem)):
@@ -514,61 +600,61 @@ class SemanticGraph:
         if parent is None or module_name is None:
             raise GraphError("cannot replace a detached or root node")
         new_nodes = new if isinstance(new, list) else [new]
-        # When `old` already lives inside a pending replacement tree (a prior
-        # replacement may reuse existing subtrees), the in-place swap below is
-        # the whole edit — recording a second, overlapping source edit would
-        # double-apply it.
-        handled = False
-        for edit in self.edits[module_name]:
-            if edit[1] is old:
-                edit[1] = new
-                handled = True
-                continue
-            reps = edit[1] if isinstance(edit[1], list) else [edit[1]]
-            if any(r is old for r in reps):
-                i = next(i for i, r in enumerate(reps) if r is old)
-                reps[i : i + 1] = new_nodes
-                handled = True
-            elif any(
-                n is old for r in reps if isinstance(r, t.Node) for n in t.walk(r)
-            ):
-                handled = True
         self._swap_child(parent, old, new_nodes)
-        if not handled and old.span is not None:
-            self._record_edit(module_name, old.span, new if isinstance(new, list) else new)
-        self.rebuild()
+        # When `old` already lives inside a pending replacement tree (a prior
+        # replacement may reuse existing subtrees), the in-place swap above is
+        # the whole edit — recording a second, overlapping source edit would
+        # double-apply it.  The nearest pending root among `old`'s ancestors
+        # tells.
+        cur = target
+        while cur is not None and cur not in self._pending:
+            cur = self.parents.get(cur)
+        if cur == target:
+            edit = self._pending.pop(target)
+            for r in new_nodes:
+                self._pending[r.nid] = edit
+            if edit[1] is old:
+                self._assign(edit, 1, new)
+            else:
+                i = next(i for i, r in enumerate(edit[1]) if r is old)
+                self._splice(edit[1], i, i + 1, new_nodes)
+        elif cur is None and old.span is not None:
+            self._record_edit(module_name, old.span, new)
+        self._unindex(old)
+        for n in new_nodes:
+            self._index(n, parent, module_name)
+        self._invalidate()
         return new_nodes[0].nid
 
     def _swap_child(self, parent: t.Node, old: t.Node, new_nodes: list[t.Node]) -> None:
-        from dataclasses import fields
-
         for f in fields(parent):
             v = getattr(parent, f.name)
             if v is old:
                 if len(new_nodes) != 1:
                     raise GraphError("sequence replacement requires a sequence position")
-                setattr(parent, f.name, new_nodes[0])
+                self._assign(parent, f.name, new_nodes[0])
                 return
             if isinstance(v, list):
                 for i, item in enumerate(v):
                     if item is old:
-                        v[i : i + 1] = new_nodes
+                        self._splice(v, i, i + 1, new_nodes)
                         return
         raise GraphError("target not found under its parent")
 
     def txn_insert_form(self, module_name: str, form: t.FunctionForm, after: NodeRef) -> NodeRef:
-        if not self._txn_stack:
+        if not self._marks:
             raise GraphError("insert outside transaction")
         mod = self.module(module_name)
         anchor = self.node(after)
         if not isinstance(anchor, t.FunctionForm):
             raise GraphError("insertion anchor must be a function form")
         idx = mod.forms.index(anchor)
-        mod.forms.insert(idx + 1, form)
+        self._splice(mod.forms, idx + 1, idx + 1, [form])
         if anchor.span is not None:
             pos = anchor.span[1]
             self._record_edit(module_name, (pos, pos), _FormInsertion(form))
-        self.rebuild()
+        self._index(form, mod, module_name)
+        self._invalidate()
         return form.nid
 
     # -- output --------------------------------------------------------------
@@ -604,6 +690,13 @@ class _FormInsertion:
 
     def __init__(self, form: t.FunctionForm):
         self.form = form
+
+
+def _roots(replacement) -> list[t.Node]:
+    """The replacement trees of a pending edit (none for a form insertion)."""
+    if isinstance(replacement, list):
+        return replacement
+    return [replacement] if isinstance(replacement, t.Node) else []
 
 
 def _form_insertion_text(payload: _FormInsertion) -> str:

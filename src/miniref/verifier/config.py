@@ -273,14 +273,17 @@ def subst_math(term, env: dict):
 
 
 def subst_program_vars(term, env: dict):
-    """Replace free program variables by value terms (capture-naive).
+    """Replace free program variables by value terms.
 
-    Adequate for the single-assignment subset: a rebinding of the same
-    name in an inner scope is rejected earlier, so naive substitution
-    cannot capture.
+    A fun clause's patterns bind fresh names that shadow the outer ones, so
+    they are left alone and its body is substituted without those names.
+    Elsewhere the single-assignment subset rejects a rebinding of the same
+    name in an inner scope earlier, so the substitution cannot capture.
     """
     if isinstance(term, list):
         return [subst_program_vars(e, env) for e in term]
+    if isinstance(term, t.Fun):
+        return t.Fun([_subst_fun_clause(c, env) for c in term.clauses])
     if isinstance(term, t.Var) and term.name in env:
         return t.copy_fresh(env[term.name])
     if isinstance(term, t.MathVar) and term.name in env:
@@ -290,6 +293,18 @@ def subst_program_vars(term, env: dict):
     if not isinstance(term, t.Node):
         return term
     return _rebuild(term, lambda child: subst_program_vars(child, env))
+
+
+def _subst_fun_clause(clause: t.Clause, env: dict) -> t.Clause:
+    bound = {
+        n.name for p in clause.patterns for n in t.walk(p) if isinstance(n, (t.Var, t.MathVar))
+    }
+    inner = {k: v for k, v in env.items() if k not in bound}
+    return t.Clause(
+        clause.name,
+        subst_program_vars(clause.patterns, {}),
+        subst_program_vars(clause.body, inner),
+    )
 
 
 def _rebuild(node: t.Node, f):

@@ -131,5 +131,10 @@ def test_graph_listing_and_dot(capsys):
     assert capsys.readouterr().out.startswith("digraph")
 
 
+def test_graph_of_a_directory_is_exit_3(tmp_path, capsys):
+    assert main(["graph", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unknown_subcommand_is_usage(capsys):
     assert main(["frobnicate"]) == 3

@@ -5,7 +5,7 @@ import pytest
 from miniref import tree as t
 from miniref.dsl import parse_refl
 from miniref.engine import Engine
-from miniref.graph import build_graph
+from miniref.graph import GraphError, build_graph
 from miniref.parser import parse_module
 
 DEFS_DIR = Path(__file__).resolve().parent.parent / "src" / "miniref" / "definitions"
@@ -412,3 +412,57 @@ def test_unknown_refactoring():
     g, eng = setup(src, "local.refl")
     out = eng.run("does_not_exist", at(g, 2, 8))
     assert not out.ok and "unknown" in out.reason
+
+
+# -- failures inside conditions and unexpected errors ------------------------------
+
+
+def _no_open_txn(g) -> bool:
+    try:
+        g.txn_commit()
+    except GraphError:
+        return True
+    return False
+
+
+def test_condition_error_in_reference_rule_is_failure():
+    text = (
+        "FORWARD DATAFLOW REFACTORING fun2len()\n"
+        "DEFINITION\n    fun() -> E end\n    -----\n    E\n"
+        "REFERENCE F\n    F()\n    ----- WHEN length(F)\n    F\n"
+    )
+    src = b"-module(m).\nf() ->\n    X = fun() -> apple end,\n    atom_to_list(X()).\n"
+    g = build_graph([parse_module(src)])
+    out = Engine(g, parse_refl(text)).run("fun2len", at(g, 3, 9))
+    assert not out.ok and "cannot coerce Var to a list" in out.reason
+    assert _no_open_txn(g)
+    assert g.render("m") == src
+
+
+def test_unexpected_error_rolls_back_every_open_txn(monkeypatch):
+    text = (
+        "REFACTORING chain()\n"
+        "    {X}\n    -----\n    [X]\n"
+        "THEN\n"
+        "    {X}\n    -----\n    {X, X}\n"
+    )
+    src = b"-module(m).\nf() ->\n    {1}.\n"
+    g = build_graph([parse_module(src)])
+    # the first step commits into the outer transaction, the second raises
+    target = at(g, 3, 5)
+    replace = g.txn_replace
+    calls = []
+
+    def failing_second_replace(ref, new):
+        calls.append(ref)
+        if len(calls) == 2:
+            raise RuntimeError("boom")
+        return replace(ref, new)
+
+    monkeypatch.setattr(g, "txn_replace", failing_second_replace)
+    with pytest.raises(RuntimeError):
+        Engine(g, parse_refl(text)).run("chain", target)
+    assert len(calls) == 2
+    assert _no_open_txn(g)
+    assert g.render("m") == src
+    assert g.module("m").forms[0].clauses[0].body[0] is target

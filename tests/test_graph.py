@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from miniref import tree as t
-from miniref.graph import GraphError, build_graph
+from miniref.dsl import parse_refl
+from miniref.engine import Engine
+from miniref.graph import GraphError, SemanticGraph, build_graph
 from miniref.parser import parse_module
 from miniref.printer import print_expr
 
@@ -263,3 +267,103 @@ def test_to_dot(g):
     dot = g.to_dot()
     assert dot.startswith("digraph")
     assert "f/1" in dot and "pure=True" in dot
+
+
+# -- edit-local maintenance ----------------------------------------------------
+
+
+def _assert_node_indexes_match_rebuild(g):
+    kept = (dict(g.objects), dict(g.parents), dict(g.node_module))
+    g.rebuild()
+    assert kept == (g.objects, g.parents, g.node_module)
+
+
+def test_node_indexes_follow_every_edit(g):
+    check = _assert_node_indexes_match_rebuild
+    g.txn_begin()
+    g.txn_replace(g.lookup_at("m", 5, 5), t.Var("Y2"))
+    check(g)
+    case = g.lookup_at("m", 6, 5)
+    new = t.Tuple([t.Atom("a"), t.Atom("b")])
+    g.txn_replace(case, new)
+    check(g)
+    g.txn_replace(new.elems[0].nid, t.Atom("c"))  # inside a pending replacement
+    check(g)
+    call = _find(g, lambda n: isinstance(n, t.Call) and isinstance(n.callee, t.Atom))
+    g.txn_replace(call.nid, t.Call(t.Atom("k"), call.args))  # reuses a subtree
+    check(g)
+    g.txn_replace(call.args[0].nid, t.Integer(7))  # a parsed node inside a replacement
+    check(g)
+    g.txn_begin()
+    form = parse_module(b"-module(x).\nk(A) -> {A}.\n").forms[0]
+    g.txn_insert_form("m", form, g.functions[("m", "f", 1)].form)
+    check(g)
+    g.txn_replace(form.clauses[0].body[0].nid, [t.Atom("one"), t.Atom("two")])
+    check(g)
+    g.txn_commit()
+    check(g)
+    g.txn_begin()
+    g.txn_replace(new.nid, t.Atom("gone"))
+    check(g)
+    g.txn_rollback()
+    check(g)
+    assert b"k(7) + m:f(2)" in g.render("m")
+    assert b"{c, b}" in g.render("m") and b"\nk(A) ->\n    one,\n    two.\n" in g.render("m")
+    g.txn_rollback()
+    check(g)
+    assert g.render("m") == SRC
+
+
+def test_semantic_indexes_are_read_after_an_edit(g):
+    g.txn_begin()
+    call = _find(g, lambda n: isinstance(n, t.Call) and isinstance(n.callee, t.Atom))
+    g.txn_replace(call.nid, t.Call(t.Atom("h"), [t.Integer(1)]))
+    refs = g.functions[("m", "h", 1)].refs
+    assert [kind for kind, _ in refs] == ["local"]
+    assert not g.functions[("m", "g", 0)].pure  # h is impure, and g now calls it
+    g.txn_commit()
+
+
+def test_inner_commit_then_outer_rollback_restores_the_objects(g):
+    before = list(t.walk(g.module("m")))
+    g.txn_begin()
+    g.txn_begin()
+    g.txn_replace(g.lookup_at("m", 5, 5), t.Var("Y2"))
+    g.txn_replace(g.lookup_at("m", 6, 5), t.Atom("done"))
+    g.txn_commit()
+    g.txn_insert_form("m", parse_module(b"-module(x).\nk() -> ok.\n").forms[0],
+                      g.functions[("m", "g", 0)].form)
+    g.txn_rollback()
+    assert g.render("m") == SRC
+    after = list(t.walk(g.module("m")))
+    assert len(after) == len(before) and all(a is b for a, b in zip(after, before))
+    assert all(g.node(n.nid) is n for n in before)
+
+
+def _callers_source(n: int) -> bytes:
+    calls = "\n".join(f"c{i}(Y) ->\n    target(Y, {i}).\n" for i in range(n))
+    return (
+        b"-module(c).\n-export([target/2]).\n\ntarget(A, B) ->\n    {A, B}.\n\n"
+        + calls.encode()
+    )
+
+
+def test_rename_rebuilds_do_not_grow_with_callers(monkeypatch):
+    schemes = Path(__file__).resolve().parent.parent / "src/miniref/definitions/schemes.refl"
+    defs = parse_refl(schemes.read_text())
+    rebuild = SemanticGraph.rebuild
+    counts = {}
+    for n in (5, 40):
+        gg = build_graph([parse_module(_callers_source(n))])
+        calls = []
+
+        def counting(self, calls=calls):
+            calls.append(1)
+            rebuild(self)
+
+        monkeypatch.setattr(SemanticGraph, "rebuild", counting)
+        out = Engine(gg, defs).run("rename_function", gg.functions[("c", "target", 2)], ["t2"])
+        monkeypatch.setattr(SemanticGraph, "rebuild", rebuild)
+        assert out.ok and gg.render("c").count(b"t2(Y, ") == n
+        counts[n] = len(calls)
+    assert counts[5] == counts[40]

@@ -361,6 +361,16 @@ def test_interpret_comprehension_filters_nonmatching_heads():
     assert term_eq(r.term, parse_expr("[2, 3]"))
 
 
+def test_interpret_fun_parameter_shadows_outer_variable():
+    defs = parse_module(b"-module(m).\nf(X) -> G = fun(X) -> X end, G(2).\n")
+    r = interpret(parse_expr("f(1)"), defs=defs)
+    assert isinstance(r, Value) and term_eq(r.term, t.Integer(2))
+    # a fun body still sees the outer names its parameters do not shadow
+    defs = parse_module(b"-module(m).\nf(X) -> G = fun(Y) -> {X, Y} end, G(2).\n")
+    r = interpret(parse_expr("f(1)"), defs=defs)
+    assert term_eq(r.term, parse_expr("{1, 2}"))
+
+
 def test_interpret_apply_and_remote():
     defs = parse_module(b"-module(m).\nf(A) -> A.\n")
     r = interpret(parse_expr("apply(f, [ok])"), defs=defs)
