@@ -182,6 +182,8 @@ def cmd_test(args) -> int:
         print(f"{fn}: {n} samples")
     for d in report.divergences:
         print(f"divergence: {d.describe()}")
+    print(f"cutoffs: {report.cutoffs}")
+    print(f"stuck on both sides: {report.stuck}")
     print(f"{len(report.divergences)} divergence(s)")
     return OK if report.ok else FAILED
 
@@ -265,6 +267,9 @@ def main(argv=None) -> int:
         return USAGE
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return USAGE
+    except RecursionError:
+        print("error: input nests too deeply", file=sys.stderr)
         return USAGE
 
 

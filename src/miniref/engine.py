@@ -184,6 +184,8 @@ class Engine:
                 x is target for x in getattr(parent, "body", getattr(parent, "exprs", []))
             )
             new = replacement if in_seq else t.Block(replacement)
+        if self._in_pattern(target) and not (isinstance(new, t.Node) and t.is_pattern(new)):
+            raise RefacFail("the rewrite would put an expression in a pattern position")
         new_ref = self.graph.txn_replace(target.nid, new)
         # commit condition-established bindings to the definition-wide scope
         for name in dsl._cond_bound(step.condition):
@@ -196,6 +198,17 @@ class Engine:
         if isinstance(ctx.this, t.Node) and ctx.this is target:
             ctx.this = result
         return result
+
+    def _in_pattern(self, node: t.Node) -> bool:
+        """`node` lies under a match, clause or generator pattern."""
+        parent = self.graph.parent(node.nid)
+        while parent is not None:
+            if isinstance(parent, (t.Match, t.Generator)) and parent.pattern is node:
+                return True
+            if isinstance(parent, t.Clause) and any(p is node for p in parent.patterns):
+                return True
+            node, parent = parent, self.graph.parent(parent.nid)
+        return False
 
     def _attempt_step(
         self, step: RuleStep, ctx: ExecContext, targets: list[t.Node] | None = None

@@ -7,8 +7,6 @@ The catalog is closed: user-defined functions are rejected.
 
 from __future__ import annotations
 
-import re
-
 from . import tree as t
 from .dsl import CAnd, CAtom, CBind, CCall, CInt, CInvoke, CNot, COr, CThis, CVar, CondExpr
 from .graph import FunctionSem, ModuleSem, SemanticGraph, VarSem
@@ -270,7 +268,3 @@ def _eval_fresh(c: CCall, b: Bindings, graph: SemanticGraph, this: t.Node):
     name = fresh_name(taken)
     nb = b.bind(mv, name)
     return True, nb
-
-
-def is_metavar_name(s: str) -> bool:
-    return bool(re.match(r"[A-Z_][A-Za-z0-9_]*\Z", s))

@@ -15,7 +15,6 @@ from .config import (
     Fresh,
     IsAtom,
     IsVar,
-    LengthGT,
     Matches,
     Neq,
     NotInKeys,
@@ -48,7 +47,6 @@ __all__ = [
     "GoalError",
     "IsAtom",
     "IsVar",
-    "LengthGT",
     "Matches",
     "Neq",
     "NotInKeys",

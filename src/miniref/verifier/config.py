@@ -76,9 +76,6 @@ class Config:
     env: SymEnv = field(default_factory=SymEnv)
     defs: SymDefs = field(default_factory=SymDefs)
 
-    def with_code(self, code: Term) -> "Config":
-        return Config(code, self.env, self.defs)
-
     def key(self):
         return (t.struct_key(self.code), self.env.key(), self.defs.key())
 
@@ -178,15 +175,6 @@ class Neq(Constraint):
 
 
 @dataclass(frozen=True)
-class LengthGT(Constraint):
-    term: Term
-    bound: int
-
-    def key(self):
-        return ("lengthgt", _tkey(self.term), self.bound)
-
-
-@dataclass(frozen=True)
 class Matches(Constraint):
     term: Term
     pattern: Term
@@ -204,10 +192,6 @@ class NotMatches(Constraint):
         return ("notmatches", _tkey(self.term), _tkey(self.pattern))
 
 
-def constraint_keys(cs) -> set:
-    return {c.key() for c in cs}
-
-
 # --- term utilities ---------------------------------------------------------
 
 
@@ -217,19 +201,30 @@ def term_eq(a, b) -> bool:
     return a == b
 
 
+_LEAVES = (t.Atom, t.Integer, t.Nil, t.Fun, t.MathVar, t.SymVar, t.SeqVar)
+
+
 def is_value(term: Term) -> bool:
     """Terms that need no further evaluation.
 
     Symbolic leaves count as values: math variables range over the value
-    domain, so a proof may leave them opaque.
+    domain, so a proof may leave them opaque.  The walk keeps its own
+    stack, so neither a long list nor a deeply nested term recurses.
     """
-    if isinstance(term, (t.Atom, t.Integer, t.Nil, t.Fun, t.MathVar, t.SymVar, t.SeqVar)):
-        return True
-    if isinstance(term, t.Cons):
-        return is_value(term.head) and is_value(term.tail)
-    if isinstance(term, t.Tuple):
-        return all(is_value(e) for e in term.elems)
-    return False
+    pending = [term]
+    while pending:
+        term = pending.pop()
+        while isinstance(term, t.Cons):  # left to right, so a non-value is found early
+            if isinstance(term.head, _LEAVES):
+                term = term.tail
+            else:
+                pending.append(term.tail)
+                term = term.head
+        if isinstance(term, t.Tuple):
+            pending.extend(reversed(term.elems))
+        elif not isinstance(term, _LEAVES):
+            return False
+    return True
 
 
 def is_ground(term: Term) -> bool:
@@ -249,7 +244,8 @@ def subst_math(term, env: dict):
     """Replace math/name/sequence variables by terms from `env`.
 
     Sequence variables may map to lists and are spliced into the
-    surrounding sibling list; a list value elsewhere is an error.
+    surrounding sibling list; a list value elsewhere is an error.  Terms
+    are immutable, so the values are shared, not copied.
     """
     if isinstance(term, list):
         out = []
@@ -259,14 +255,10 @@ def subst_math(term, env: dict):
         return out
     if isinstance(term, (t.MathVar, t.SeqVar)) and term.name in env:
         v = env[term.name]
-        if isinstance(v, list):
-            return [t.copy_fresh(x) for x in v]
-        return t.copy_fresh(v)
+        return list(v) if isinstance(v, list) else v
     if isinstance(term, t.SymVar) and term.name in env:
         v = env[term.name]
-        if isinstance(v, t.Node):
-            return t.copy_fresh(v)
-        return t.Atom(v) if isinstance(v, str) else t.copy_fresh(v)
+        return t.Atom(v) if isinstance(v, str) else v
     if not isinstance(term, t.Node):
         return term
     return _rebuild(term, lambda child: subst_math(child, env))
@@ -284,12 +276,10 @@ def subst_program_vars(term, env: dict):
         return [subst_program_vars(e, env) for e in term]
     if isinstance(term, t.Fun):
         return t.Fun([_subst_fun_clause(c, env) for c in term.clauses])
-    if isinstance(term, t.Var) and term.name in env:
-        return t.copy_fresh(env[term.name])
-    if isinstance(term, t.MathVar) and term.name in env:
-        # a pattern position held a math variable standing for a program
-        # variable; its uses are the same math variable
-        return t.copy_fresh(env[term.name])
+    if isinstance(term, (t.Var, t.MathVar)) and term.name in env:
+        # a math variable may have held a pattern position, standing for a
+        # program variable; its uses are the same math variable
+        return env[term.name]
     if not isinstance(term, t.Node):
         return term
     return _rebuild(term, lambda child: subst_program_vars(child, env))

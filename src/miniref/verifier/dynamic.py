@@ -59,7 +59,8 @@ class DynamicReport:
     samples: int
     checked: list = field(default_factory=list)  # (function, samples run)
     divergences: list = field(default_factory=list)
-    cutoffs: int = 0
+    cutoffs: int = 0  # samples cut off by fuel on both sides
+    stuck: int = 0  # samples stuck on both sides
 
     @property
     def ok(self) -> bool:
@@ -82,9 +83,8 @@ def dynamic_verify(
     for name, arity in common:
         for _ in range(samples):
             args = random_args(rng, arity)
-            call = t.Call(t.Atom(name), [t.copy_fresh(a) for a in args])
+            call = t.Call(t.Atom(name), args)
             r1 = interpret(call, defs=before, fuel=fuel)
-            call = t.Call(t.Atom(name), [t.copy_fresh(a) for a in args])
             r2 = interpret(call, defs=after, fuel=fuel)
             if isinstance(r1, Cutoff) and isinstance(r2, Cutoff):
                 report.cutoffs += 1  # nontermination on both sides is not a divergence
@@ -94,7 +94,8 @@ def dynamic_verify(
                     report.divergences.append(Divergence(f"{name}/{arity}", args, r1, r2))
                 continue
             if isinstance(r1, Stuck) and isinstance(r2, Stuck):
-                continue  # equally undefined on this input
+                report.stuck += 1  # equally undefined on this input
+                continue
             report.divergences.append(Divergence(f"{name}/{arity}", args, r1, r2))
         report.checked.append((f"{name}/{arity}", samples))
     return report

@@ -1,11 +1,23 @@
 """Small-step rules for the evaluated subset, shared by prover and interpreter.
 
-Each rule rewrites the configuration at the current focus; `try_step`
-walks into the leftmost evaluation position (congruence) and fires the
-single applicable rule there, so stepping is deterministic.  A step may
-split into several branches when a symbolic scrutinee makes clause
-selection undecidable; every branch carries the constraint that chose
-it.  Rule tags:
+The semantics is one decomposition-and-contraction table, `_decide`: for
+a term that is not a value it returns either a contraction (a `Step`
+naming the rule that fires at this node), a `Focus` (the leftmost child
+still to be evaluated, plus a plug that rebuilds this one node around a
+new child), or None when the term is stuck.  Congruence is not a rule of
+its own: it is the chain of focuses from the root down to the redex, so
+evaluation is deterministic.  Two drivers run the table:
+
+  try_step / step_config  decompose from the root on every call and plug
+                          the step's branches back into the whole term;
+                          the prover and `replay` use these.
+  interp.interpret        keeps the plugs between steps (refocusing), so
+                          a step does not re-descend from the root.
+
+A step may split into several branches when a symbolic scrutinee makes
+clause selection undecidable; every branch carries the constraint that
+chose it.  Terms are immutable: contractions share the subterms they
+keep and substitution shares the values it inserts.  Rule tags:
 
   seq-match-to-case   begin P = E, Es end  ->  case E of P -> begin Es end end
   block-elim          begin E end  ->  E
@@ -33,19 +45,18 @@ it.  Rule tags:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, fields
+from typing import Callable
 
 from .. import tree as t
 from .config import (
     Config,
-    IsVar,
     Matches,
-    NotInKeys,
     NotMatches,
     SymDefs,
     SymEnv,
     is_value,
-    subst_math,
     subst_program_vars,
     term_eq,
 )
@@ -157,126 +168,111 @@ def _body_term(body: list) -> t.Expr:
     return body[0] if len(body) == 1 else t.Block([e for e in body])
 
 
-# --- the stepping machinery --------------------------------------------------
+# --- the decomposition-and-contraction table ---------------------------------
 
 
-def try_step(code, env: SymEnv, defs: SymDefs, cs=()) -> Step | None:
-    if is_value(code):
-        return None
+@dataclass(frozen=True)
+class Focus:
+    """Evaluate `child` next; `plug(new)` rebuilds the parent around `new`."""
+
+    child: t.Expr
+    plug: Callable[[t.Expr], t.Expr]
+
+
+def _at(node: t.Node, field: str, index: int | None = None) -> Focus:
+    """Focus on `node.field`, or on its `index`-th element for a list field."""
+    seq = getattr(node, field)
+
+    def plug(new):
+        kept = {f: getattr(node, f) for f in _init_fields(type(node))}
+        kept[field] = new if index is None else seq[:index] + [new] + seq[index + 1 :]
+        return type(node)(**kept)
+
+    return Focus(seq if index is None else seq[index], plug)
+
+
+@functools.cache
+def _init_fields(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.init and f.name not in ("nid", "span"))
+
+
+def _first_open(node: t.Node, field: str) -> Focus | None:
+    """Focus on the leftmost element of `node.field` that is not a value."""
+    for i, e in enumerate(getattr(node, field)):
+        if not is_value(e):
+            return _at(node, field, i)
+    return None
+
+
+def _decide(code, env: SymEnv, defs: SymDefs, cs) -> Step | Focus | None:
+    """One row of the table for a `code` that is not a value: the rule
+    that contracts it, the child to evaluate first, or None when stuck."""
     if isinstance(code, t.Block):
-        return _step_block(code, env, defs, cs)
+        return _decide_block(code, env)
     if isinstance(code, t.Case):
-        return _step_case(code, env, defs, cs)
+        return _decide_case(code, env, cs)
     if isinstance(code, t.Match):
-        return _step_match(code, env, defs, cs)
+        return _decide_match(code, env)
     if isinstance(code, t.Var):
         v = env.lookup(code.name)
         if v is None:
             return None
-        return _one("var-lookup", t.copy_fresh(v), env)
+        return _one("var-lookup", v, env)
     if isinstance(code, t.Call):
-        return _step_call(code, env, defs, cs)
+        return _decide_call(code, env, defs, cs)
     if isinstance(code, t.RemoteCall):
-        return _step_remote(code, env, defs, cs)
+        return _decide_remote(code, env)
     if isinstance(code, t.BinOp):
-        return _step_binop(code, env, defs, cs)
+        return _decide_binop(code, env)
     if isinstance(code, t.Cons):
-        if not is_value(code.head):
-            return _in(code, "head", env, defs, cs)
-        return _in(code, "tail", env, defs, cs)
+        return _at(code, "head" if not is_value(code.head) else "tail")
     if isinstance(code, t.Tuple):
-        return _in_seq(code, "elems", env, defs, cs)
+        return _first_open(code, "elems")
     if isinstance(code, t.ListComp):
-        return _step_comp(code, env, defs, cs)
+        return _decide_comp(code, env, cs)
     return None
 
 
-def _wrap(step: Step | None, rebuild) -> Step | None:
-    if step is None:
-        return None
-    return Step(step.tag, tuple((rebuild(c), e, x) for c, e, x in step.branches))
-
-
-def _in(code, field: str, env, defs, cs) -> Step | None:
-    inner = try_step(getattr(code, field), env, defs, cs)
-
-    def rebuild(new):
-        from .config import _rebuild
-
-        return _rebuild(code, lambda ch: new if ch is getattr(code, field) else ch)
-
-    return _wrap(inner, rebuild)
-
-
-def _in_seq(code, field: str, env, defs, cs) -> Step | None:
-    seq = getattr(code, field)
-    for i, e in enumerate(seq):
-        if is_value(e):
-            continue
-        inner = try_step(e, env, defs, cs)
-        if inner is None:
-            return None
-
-        def rebuild(new, i=i):
-            from .config import _rebuild
-
-            def repl(ch):
-                if ch is seq:
-                    return seq[:i] + [new] + seq[i + 1 :]
-                return ch
-
-            return _rebuild(code, repl)
-
-        return _wrap(inner, rebuild)
-    return None
-
-
-def _step_block(code: t.Block, env, defs, cs) -> Step | None:
+def _decide_block(code: t.Block, env) -> Step | Focus | None:
     es = code.exprs
     if len(es) == 1:
         return _one("block-elim", es[0], env)
     if not es:
         return None
     head = es[0]
-    if isinstance(head, t.Match) and len(es) > 1:
-        clause = t.Clause(None, [head.pattern], [t.Block(list(es[1:]))])
+    if isinstance(head, t.Match):
+        clause = t.Clause(None, [head.pattern], [t.Block(es[1:])])
         return _one("seq-match-to-case", t.Case(head.expr, [clause]), env)
     if is_value(head):
-        return _one("seq-discard", t.Block(list(es[1:])), env)
-    inner = try_step(head, env, defs, cs)
-    return _wrap(inner, lambda new: t.Block([new] + list(es[1:])))
+        return _one("seq-discard", t.Block(es[1:]), env)
+    return _at(code, "exprs", 0)
 
 
-def _step_case(code: t.Case, env, defs, cs) -> Step | None:
+def _decide_case(code: t.Case, env, cs) -> Step | Focus | None:
     if not is_value(code.scrutinee):
-        inner = try_step(code.scrutinee, env, defs, cs)
-        return _wrap(inner, lambda new: t.Case(new, code.clauses))
+        return _at(code, "scrutinee")
     if not code.clauses:
         return None
     first, rest = code.clauses[0], code.clauses[1:]
     if len(first.body) == 1 and isinstance(first.body[0], t.Block) and first.body[0].exprs:
         flat = t.Clause(first.name, first.patterns, list(first.body[0].exprs))
-        return _one("block-elim", t.Case(code.scrutinee, [flat] + list(rest)), env)
+        return _one("block-elim", t.Case(code.scrutinee, [flat] + rest), env)
     verdict, payload = sym_match(code.scrutinee, first.patterns[0], env, cs)
     if verdict == "yes":
         pvars, mvars = payload
-        body = _apply_bindings(list(first.body), pvars, mvars)
-        return _one("case-match", _body_term(body), env)
+        return _one("case-match", _body_term(_apply_bindings(first.body, pvars, mvars)), env)
     if verdict == "no":
         if not rest:
             return None
-        return _one("case-mismatch", t.Case(code.scrutinee, list(rest)), env)
+        return _one("case-mismatch", t.Case(code.scrutinee, rest), env)
     if not rest:
         return None  # cannot fork out of the last clause soundly
-    matched = t.Block(list(first.body))
-    if len(first.body) == 1:
-        matched = first.body[0]
     return Step(
         "case-split",
         (
-            (matched, env, (Matches(code.scrutinee, first.patterns[0]),)),
+            (_body_term(first.body), env, (Matches(code.scrutinee, first.patterns[0]),)),
             (
-                t.Case(code.scrutinee, list(rest)),
+                t.Case(code.scrutinee, rest),
                 env,
                 (NotMatches(code.scrutinee, first.patterns[0]),),
             ),
@@ -284,34 +280,33 @@ def _step_case(code: t.Case, env, defs, cs) -> Step | None:
     )
 
 
-def _step_match(code: t.Match, env, defs, cs) -> Step | None:
+def _decide_match(code: t.Match, env) -> Step | Focus | None:
     if not is_value(code.expr):
-        inner = try_step(code.expr, env, defs, cs)
-        return _wrap(inner, lambda new: t.Match(code.pattern, new))
+        return _at(code, "expr")
     pat = code.pattern
     if isinstance(pat, t.Var) and pat.name != "_" and env.lookup(pat.name) is None:
         if env.frame is not None:
             return None
         return Step("match-extend-env", ((code.expr, env.bind(pat.name, code.expr), ()),))
-    clause = t.Clause(None, [pat], [t.copy_fresh(code.expr)])
+    clause = t.Clause(None, [pat], [code.expr])
     return _one("match-to-case", t.Case(code.expr, [clause]), env)
 
 
 _APPLY = ("apply", 2)
 
 
-def _step_call(code: t.Call, env, defs, cs) -> Step | None:
+def _decide_call(code: t.Call, env, defs, cs) -> Step | Focus | None:
     callee = code.callee
     if not isinstance(callee, (t.Atom, t.Fun, t.MathVar, t.SymVar)) and not is_value(callee):
-        inner = try_step(callee, env, defs, cs)
-        return _wrap(inner, lambda new: t.Call(new, code.args))
-    if any(not is_value(a) for a in code.args):
-        return _in_seq(code, "args", env, defs, cs)
+        return _at(code, "callee")
+    focus = _first_open(code, "args")
+    if focus is not None:
+        return focus
     if isinstance(callee, t.Atom) and (callee.name, len(code.args)) == _APPLY:
         if defs.lookup("apply", 2) is None:
             elems, tail = t.unlist(code.args[1])
             if tail is None and elems is not None and isinstance(code.args[1], (t.Cons, t.Nil)):
-                return _one("apply-desugar", t.Call(code.args[0], list(elems)), env)
+                return _one("apply-desugar", t.Call(code.args[0], elems), env)
             return None
     if isinstance(callee, t.Fun):
         return _beta(callee.clauses, code.args, env, cs, "fun-beta")
@@ -322,24 +317,24 @@ def _step_call(code: t.Call, env, defs, cs) -> Step | None:
         clauses = defs.lookup(callee.name, len(code.args))
         if clauses is None:
             return None
-        return _beta(list(clauses), code.args, env, cs, "call-unfold")
+        return _beta(clauses, code.args, env, cs, "call-unfold")
     return None
 
 
 def _beta(clauses, args, env, cs, tag: str) -> Step | None:
     formals_env = SymEnv((), None)  # formals live in a fresh scope
+    keys = {c.key() for c in cs}
     for clause in clauses:
         if len(clause.patterns) != len(args):
             return None
         pvars, mvars = {}, {}
         verdict = "yes"
         for a, p in zip(args, clause.patterns):
-            keys = {c.key() for c in cs}
             verdict, payload = _sm(a, p, formals_env, keys, pvars, mvars)
             if verdict != "yes":
                 break
         if verdict == "yes":
-            body = _apply_bindings(list(clause.body), pvars, mvars)
+            body = _apply_bindings(clause.body, pvars, mvars)
             return _one(tag, _body_term(body), env)
         if verdict == "maybe":
             return None
@@ -364,7 +359,7 @@ def _proper(term) -> list | None:
     return elems if tail is None else None
 
 
-def _step_remote(code: t.RemoteCall, env, defs, cs) -> Step | None:
+def _decide_remote(code: t.RemoteCall, env) -> Step | Focus | None:
     if (
         isinstance(code.module, t.Atom)
         and code.module.name == "lists"
@@ -372,13 +367,14 @@ def _step_remote(code: t.RemoteCall, env, defs, cs) -> Step | None:
         and code.name.name == "map"
         and len(code.args) == 2
     ):
-        if any(not is_value(a) for a in code.args):
-            return _in_seq(code, "args", env, defs, cs)
+        focus = _first_open(code, "args")
+        if focus is not None:
+            return focus
         f, lst = code.args
         if isinstance(lst, t.Nil):
             return _one("map-unfold", t.Nil(), env)
         if isinstance(lst, t.Cons):
-            rest = t.RemoteCall(t.Atom("lists"), t.Atom("map"), [t.copy_fresh(f), lst.tail])
+            rest = t.RemoteCall(code.module, code.name, [f, lst.tail])
             return _one("map-unfold", t.Cons(t.Call(f, [lst.head]), rest), env)
         return None
     if isinstance(code.name, (t.Atom, t.SymVar)):
@@ -387,78 +383,92 @@ def _step_remote(code: t.RemoteCall, env, defs, cs) -> Step | None:
     return None
 
 
-def _step_binop(code: t.BinOp, env, defs, cs) -> Step | None:
+def _decide_binop(code: t.BinOp, env) -> Step | Focus | None:
     if not is_value(code.left):
-        return _in(code, "left", env, defs, cs)
+        return _at(code, "left")
     if not is_value(code.right):
-        return _in(code, "right", env, defs, cs)
+        return _at(code, "right")
     if code.op == "+" and isinstance(code.left, t.Integer) and isinstance(code.right, t.Integer):
         return _one("int-add", t.Integer(code.left.value + code.right.value), env)
     if code.op == "++":
         left = _proper(code.left)
         if left is not None and isinstance(code.right, (t.Cons, t.Nil)):
-            return _one("list-append", t.mklist([t.copy_fresh(e) for e in left], code.right), env)
+            return _one("list-append", t.mklist(left, code.right), env)
     return None
 
 
-def _step_comp(code: t.ListComp, env, defs, cs) -> Step | None:
+def _decide_comp(code: t.ListComp, env, cs) -> Step | Focus | None:
     if not code.qualifiers:
         return _one("comp-step", t.Cons(code.head, t.Nil()), env)
     q, rest = code.qualifiers[0], code.qualifiers[1:]
     if isinstance(q, t.Filter):
         if not is_value(q.expr):
-            inner = try_step(q.expr, env, defs, cs)
-            return _wrap(
-                inner,
-                lambda new: t.ListComp(code.head, [t.Filter(new)] + list(rest)),
-            )
+            return _within(_at(code, "qualifiers", 0), "expr")
         if isinstance(q.expr, t.Atom) and q.expr.name == "true":
-            return _one("comp-filter", t.ListComp(code.head, list(rest)), env)
+            return _one("comp-filter", t.ListComp(code.head, rest), env)
         if isinstance(q.expr, t.Atom) and q.expr.name == "false":
             return _one("comp-filter", t.Nil(), env)
         return None
     if isinstance(q, t.Generator):
         if not is_value(q.source):
-            inner = try_step(q.source, env, defs, cs)
-            return _wrap(
-                inner,
-                lambda new: t.ListComp(code.head, [t.Generator(q.pattern, new)] + list(rest)),
-            )
+            return _within(_at(code, "qualifiers", 0), "source")
         if isinstance(q.source, t.Nil):
             return _one("comp-empty", t.Nil(), env)
         if isinstance(q.source, t.Cons):
             verdict, payload = sym_match(q.source.head, q.pattern, SymEnv((), None), cs)
-            tail_comp = t.ListComp(
-                t.copy_fresh(code.head),
-                [t.Generator(t.copy_fresh(q.pattern), q.source.tail)]
-                + [t.copy_fresh(x) for x in rest],
-            )
+            tail_comp = t.ListComp(code.head, [t.Generator(q.pattern, q.source.tail)] + rest)
             if verdict == "no":
                 return _one("comp-skip", tail_comp, env)
             if verdict == "yes":
                 pvars, mvars = payload
                 first = t.ListComp(
-                    _apply_bindings([t.copy_fresh(code.head)], pvars, mvars)[0],
-                    _apply_bindings([t.copy_fresh(x) for x in rest], pvars, mvars),
+                    _apply_bindings([code.head], pvars, mvars)[0],
+                    _apply_bindings(rest, pvars, mvars),
                 )
                 return _one("comp-step", t.BinOp("++", first, tail_comp), env)
         return None
     return None
 
 
+def _within(outer: Focus, field: str) -> Focus:
+    """Focus one level further down, into `field` of the focused qualifier."""
+    inner = _at(outer.child, field)
+    return Focus(inner.child, lambda new: outer.plug(inner.plug(new)))
+
+
+# --- the driver that decomposes from the root ---------------------------------
+
+
+def try_step(code, env: SymEnv, defs: SymDefs, cs=()) -> Step | None:
+    """The step at the leftmost redex of `code`, its branches plugged back
+    into the whole term; None for a value or a stuck term."""
+    if is_value(code):
+        return None
+    plugs = []
+    decision = _decide(code, env, defs, cs)
+    while isinstance(decision, Focus):
+        plugs.append(decision.plug)
+        decision = _decide(decision.child, env, defs, cs)
+    if decision is None:
+        return None
+    return Step(
+        decision.tag,
+        tuple((_plug_all(plugs, c), e, x) for c, e, x in decision.branches),
+    )
+
+
+def _plug_all(plugs: list, code):
+    """Rebuild the whole term around `code` from a stack of plugs."""
+    for plug in reversed(plugs):
+        code = plug(code)
+    return code
+
+
 # --- configuration-level stepping and the rule catalog -----------------------
 
 
 def step_config(cfg: Config, cs=()) -> Step | None:
-    step = try_step(cfg.code, cfg.env, cfg.defs, cs)
-    if step is None:
-        return None
-    return step
-
-
-def apply_step(cfg: Config, step: Step):
-    """The successor configurations (paired with their new constraints)."""
-    return [(Config(code, env, cfg.defs), extra) for code, env, extra in step.branches]
+    return try_step(cfg.code, cfg.env, cfg.defs, cs)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,14 @@ def test_apply_failure_is_exit_1(work, capsys):
     assert "failed" in capsys.readouterr().err
 
 
+def test_apply_refuses_an_expression_in_a_pattern_position(work, capsys):
+    # wrapping the `X` of `X = fun() -> apple end` would print
+    # `(fun() -> X end)() = ...`, which does not parse
+    assert main(["apply", str(work), "wrap_into_fun", "--at", "5:5", "--write"]) == 1
+    assert "pattern position" in capsys.readouterr().err
+    assert work.read_bytes() == APPLE.read_bytes()
+
+
 def test_apply_without_target_is_usage_error(work, capsys):
     assert main(["apply", str(work), "fun2value"]) == 3
 
@@ -116,6 +124,18 @@ def test_dynamic_test_command(capsys):
     assert "0 divergence(s)" in capsys.readouterr().out
 
 
+def test_dynamic_test_reports_cutoffs_and_shared_stuck_samples(tmp_path, capsys):
+    before = tmp_path / "before.erl"
+    before.write_text("-module(m).\n-export([f/1, g/0]).\nf(X) -> f(X).\ng() -> 1 + a.\n")
+    after = tmp_path / "after.erl"
+    after.write_text(
+        "-module(m).\n-export([f/1, g/0]).\nf(X) -> h(X).\nh(X) -> f(X).\ng() -> a + 1.\n"
+    )
+    assert main(["test", str(before), str(after), "--samples", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "cutoffs: 4\n" in out and "stuck on both sides: 4\n" in out
+
+
 def test_dynamic_test_divergence(tmp_path, capsys):
     bad = tmp_path / "bad.erl"
     bad.write_text("-module(apple).\n-export([f/0]).\nf() -> pear.\n")
@@ -134,6 +154,14 @@ def test_graph_listing_and_dot(capsys):
 def test_graph_of_a_directory_is_exit_3(tmp_path, capsys):
     assert main(["graph", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_deeply_nested_input_is_exit_3(tmp_path, capsys):
+    deep = tmp_path / "deep.erl"
+    elems = ", ".join(str(i % 10) for i in range(1500))
+    deep.write_text(f"-module(deep).\n-export([f/0]).\nf() -> [{elems}].\n")
+    assert main(["graph", str(deep)]) == 3
+    assert capsys.readouterr().err == "error: input nests too deeply\n"
 
 
 def test_unknown_subcommand_is_usage(capsys):

@@ -1,5 +1,7 @@
+import random
 from pathlib import Path
 
+import property_suites as props
 import pytest
 
 from miniref import tree as t
@@ -36,6 +38,7 @@ from miniref.verifier import (
     step_config,
     term_eq,
 )
+from miniref.verifier import rules
 from miniref.verifier.config import subst_math, unify
 from miniref.verifier.rules import Rule, sym_match
 
@@ -64,6 +67,14 @@ def test_values():
     assert not is_value(parse_expr("f(1)"))
     assert not is_value(parse_expr("X"))
     assert not is_value(t.Cons(parse_expr("f(1)"), t.Nil()))
+
+
+def test_is_value_does_not_recurse_on_long_or_deep_terms():
+    for leaf, expected in ((t.Integer(1), True), (t.Var("X"), False)):
+        long, deep = t.mklist([t.Integer(0)] * 5000, t.Cons(leaf, t.Nil())), leaf
+        for _ in range(5000):
+            deep = t.Tuple([t.Cons(deep, t.Nil())])
+        assert is_value(long) is expected and is_value(deep) is expected
 
 
 def test_unify_binds_math_variables():
@@ -379,6 +390,84 @@ def test_interpret_apply_and_remote():
     assert term_eq(r.term, t.Atom("ok"))
 
 
+SUM = b"-module(s).\n-export([sum/1]).\nsum([H | T]) -> H + sum(T);\nsum([]) -> 0.\n"
+
+
+def _root_stepper(code, env, defs):
+    """Step from the root with `step_config` until no single step applies;
+    the configurations visited, the first one included."""
+    seen = [Config(code, SymEnv(tuple(env.items()), None), SymDefs.of_module(defs))]
+    while (step := step_config(seen[-1])) is not None and len(step.branches) == 1:
+        code2, env2, _ = step.branches[0]
+        seen.append(Config(code2, env2, seen[-1].defs))
+    return seen
+
+
+def test_refocused_interpreter_fires_the_root_steppers_tags(monkeypatch):
+    tags = []
+    decide = rules._decide
+
+    def recording(*args):
+        decision = decide(*args)
+        if isinstance(decision, rules.Step):
+            tags.append(decision.tag)
+        return decision
+
+    monkeypatch.setattr(rules, "_decide", recording)
+    defs = parse_module(props.DEFS_SOURCE)
+    rng = random.Random(13)
+    generated = [props._gen_program(rng, kind) for kind in range(props.KINDS) for _ in range(15)]
+    nested = [  # redexes deep inside lists, tuples, blocks, cases and comprehensions
+        "[inc(1), begin X = id(2), [X | [inc(X)]] end, {pair(a, [b]), 3} | [4]]",
+        "[{I, id(J)} || I <- [1, 2], J <- [inc(I), I], true]",
+        "case {inc(1), id(a)} of {2, b} -> no; {N, a} -> begin Y = N, Y + Y end end",
+        "lists:map(fun(Z) -> [Z] ++ [inc(Z)] end, [1, id(2)])",
+        # the head steps to a match, so the block's own rule fires next
+        "begin begin Y = inc(1) end, Y + Y end",
+    ]
+    for prog, env in generated + [(p, {}) for p in nested]:
+        code = parse_expr(prog) if isinstance(prog, str) else prog
+        del tags[:]
+        result = interpret(code, env=dict(env), defs=defs)
+        refocused = list(tags)
+        del tags[:]
+        seen = _root_stepper(code, env, defs)
+        assert refocused == tags and len(tags) == len(seen) - 1, prog
+        last = result.term if isinstance(result, Value) else result.config.code
+        assert term_eq(last, seen[-1].code), prog
+        assert isinstance(result, Value) or prog not in nested
+
+
+def test_interpret_leaves_its_input_unchanged():
+    source = SUM + (
+        b"tag(L) -> [{t, X} || X <- L].\n"
+        b"both(L) -> {lists:map(fun(X) -> X + 1 end, L), L ++ L, tag(L)}.\n"
+    )
+    module = parse_module(source)
+    call = parse_expr("both([sum([1, 2, 3]), 4 | [5]])")
+    keys = t.struct_key(module), t.struct_key(call)
+    r = interpret(call, defs=module)
+    assert isinstance(r, Value)
+    assert (t.struct_key(module), t.struct_key(call)) == keys
+
+
+def test_interpret_sums_a_long_list_without_deep_recursion():
+    call = parse_expr("sum([" + ", ".join(str(i % 10) for i in range(400)) + "])")
+    r = interpret(call, defs=parse_module(SUM))
+    assert isinstance(r, Value) and term_eq(r.term, t.Integer(sum(i % 10 for i in range(400))))
+
+
+def test_interpret_fuel_counts_steps_exactly():
+    module = parse_module(SUM)
+    call = parse_expr("sum([1, 2, 3])")
+    seen = _root_stepper(call, {}, module)
+    steps = len(seen) - 1
+    assert isinstance(interpret(call, defs=module, fuel=steps + 1), Value)
+    for fuel in (0, 1, steps // 2, steps):
+        r = interpret(call, defs=module, fuel=fuel)
+        assert isinstance(r, Cutoff) and term_eq(r.config.code, seen[fuel].code)
+
+
 # -- dynamic verification ----------------------------------------------------------
 
 
@@ -408,6 +497,13 @@ def test_dynamic_verify_tolerates_shared_nontermination():
     b = parse_module(b"-module(m).\n-export([f/1]).\nf(X) -> f([X]).\n")
     rep = dynamic_verify(a, b, samples=3, seed=1, fuel=60)
     assert rep.ok and rep.cutoffs == 3
+
+
+def test_dynamic_verify_counts_samples_stuck_on_both_sides():
+    a = parse_module(b"-module(m).\n-export([f/1]).\nf(X) -> case X of nope -> 1 end.\n")
+    b = parse_module(b"-module(m).\n-export([f/1]).\nf(X) -> case X of nope -> 2 end.\n")
+    rep = dynamic_verify(a, b, samples=5, seed=1)
+    assert rep.ok and rep.stuck == 5 and rep.cutoffs == 0
 
 
 def test_verify_app_apple_goals_prove():
