@@ -685,19 +685,15 @@ _SEQ_FIELDS = {
 
 
 def _listmeta_misplacements(p) -> list[str]:
-    from dataclasses import fields
-
     bad: list[str] = []
     roots = p if isinstance(p, list) else [p]
 
     def visit(node, ok_here: bool):
         if isinstance(node, t.ListMetavar) and not ok_here:
             bad.append(node.name)
-        for f in fields(node):
-            if f.name in ("nid", "span", "text"):
-                continue
-            v = getattr(node, f.name)
-            legal = (type(node), f.name) in _SEQ_FIELDS
+        for name in t.struct_fields(type(node)):
+            v = getattr(node, name)
+            legal = (type(node), name) in _SEQ_FIELDS
             if isinstance(v, t.Node):
                 visit(v, legal)
             elif isinstance(v, list):

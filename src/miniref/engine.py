@@ -26,12 +26,21 @@ from .dsl import (
     SelectorDef,
 )
 from .graph import FunctionSem, SemanticGraph
-from .matcher import Bindings, instantiate, match
+from .matcher import Bindings, MatchError, instantiate, match
 from .semlib import SemError, call_semantic, eval_condition, eval_expr, fresh_name
 
 
 class RefacFail(Exception):
     """Internal control flow: aborts the enclosing transaction."""
+
+
+def _instantiate(pattern, b: Bindings):
+    """`instantiate`, with a replacement that cannot be built (an unbound
+    metavariable, a sequence in a single-node position) as a failure."""
+    try:
+        return instantiate(pattern, b)
+    except (MatchError, ValueError) as e:
+        raise RefacFail(str(e)) from None
 
 
 @dataclass
@@ -171,7 +180,7 @@ class Engine:
         if len(survivors) > 1:
             raise RefacFail("ambiguous match: more than one solution survives the conditions")
         b = survivors[0]
-        replacement = instantiate(step.replacement, b)
+        replacement = _instantiate(step.replacement, b)
         if isinstance(step.matching, t.ClausePat):
             if len(replacement) != 1 or not isinstance(replacement[0], t.Clause):
                 raise RefacFail("clause rule must produce a clause")
@@ -374,7 +383,7 @@ class Engine:
         survivors = self._survivors(step, call, ctx.bindings)
         if len(survivors) != 1:
             raise RefacFail("signature rule must match each site exactly once")
-        out = instantiate(step.replacement, survivors[0])
+        out = _instantiate(step.replacement, survivors[0])
         new = out[0] if isinstance(out, list) else out
         if not isinstance(new, t.Call):
             raise RefacFail("signature rule must produce an application")
@@ -404,9 +413,9 @@ class Engine:
                 raise RefacFail("a reference site is not covered by any reference rule")
             rewrites.append(found)
         for site, step, b in rewrites:
-            out = instantiate(step.replacement, b)
+            out = _instantiate(step.replacement, b)
             self.graph.txn_replace(site.nid, out[0] if len(out) == 1 else t.Block(out))
-        repl = instantiate(d.definition.replacement, def_b)
+        repl = _instantiate(d.definition.replacement, def_b)
         new_ref = self.graph.txn_replace(target.nid, repl[0] if len(repl) == 1 else repl)
         ctx.this = self.graph.node(new_ref)
         return ctx.this
@@ -490,10 +499,10 @@ class Engine:
                         "moved expression references names bound inside the target"
                     )
         for node, b in per_source:
-            out = instantiate(d.definition.replacement, b.merge(shared) or b)
+            out = _instantiate(d.definition.replacement, b.merge(shared) or b)
             self.graph.txn_replace(node.nid, out[0] if len(out) == 1 else t.Block(out))
         final_b = shared.bind(refvar, self.graph.node(target.nid))
-        out = instantiate(ref_step.replacement, final_b)
+        out = _instantiate(ref_step.replacement, final_b)
         new_ref = self.graph.txn_replace(target.nid, out[0] if len(out) == 1 else t.Block(out))
         ctx.this = self.graph.node(new_ref)
         return ctx.this

@@ -23,10 +23,10 @@ variable bound in only some case branches is unbound after the case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from . import tree as t
-from .printer import print_expr, splice
+from .printer import splice
 
 NodeRef = int
 
@@ -232,71 +232,79 @@ class SemanticGraph:
             self._visit(e, env, fkey)
 
     def _visit(self, e: t.Expr, env: dict[str, VarSem], fkey) -> None:
-        self.scope_in.setdefault(e.nid, frozenset(env))
-        if isinstance(e, t.Var):
-            if e.name == "_":
-                return
-            if e.name in env:
-                sem = env[e.name]
-                sem.occurrences.append(e.nid)
-                self.var_of[e.nid] = sem.sid
-                for b in sem.binders:
-                    self._flow_edge(b, e.nid)
-            else:
-                self.unbound.add(e.nid)
-            return
-        if isinstance(e, t.Match):
-            self._visit(e.expr, env, fkey)
-            self._bind_pattern(e.pattern, env, fkey)
-            self._flow_edge(e.expr.nid, e.pattern.nid)
-            return
-        if isinstance(e, t.Block):
-            self._visit_seq(e.exprs, env, fkey)
-            self._seq_flow(e.exprs, e)
-            return
-        if isinstance(e, t.Case):
-            self._visit(e.scrutinee, env, fkey)
-            branch_envs: list[dict[str, VarSem]] = []
-            for clause in e.clauses:
-                benv = dict(env)
-                self._bind_pattern(clause.patterns[0], benv, fkey)
-                self._flow_edge(e.scrutinee.nid, clause.patterns[0].nid)
-                self._visit_seq(clause.body, benv, fkey)
-                self._seq_flow(clause.body, None)
-                self._flow_edge(clause.body[-1].nid, e.nid)
-                branch_envs.append(benv)
-            common = set.intersection(*(set(b) for b in branch_envs)) - set(env)
-            for name in sorted(common):
-                merged = self._var_sem(fkey, name, None, e.nid)
-                for benv in branch_envs:
-                    for b in benv[name].binders:
-                        if b not in merged.binders:
-                            merged.binders.append(b)
-                env[name] = merged
-            return
-        if isinstance(e, t.Fun):
-            for clause in e.clauses:
-                cenv = dict(env)
-                for p in clause.patterns:
-                    self._bind_pattern(p, cenv, fkey, fresh=True)
-                self._visit_seq(clause.body, cenv, fkey)
-                self._seq_flow(clause.body, None)
-            return
-        if isinstance(e, t.ListComp):
-            lenv = dict(env)
-            for q in e.qualifiers:
-                if isinstance(q, t.Generator):
-                    self._visit(q.source, lenv, fkey)
-                    self._bind_pattern(q.pattern, lenv, fkey)
+        # a generic node's last child is visited in this same frame, so a
+        # long cons chain (the tail of a list literal) does not recurse
+        while True:
+            self.scope_in.setdefault(e.nid, frozenset(env))
+            if isinstance(e, t.Var):
+                if e.name == "_":
+                    return
+                if e.name in env:
+                    sem = env[e.name]
+                    sem.occurrences.append(e.nid)
+                    self.var_of[e.nid] = sem.sid
+                    for b in sem.binders:
+                        self._flow_edge(b, e.nid)
                 else:
-                    self._visit(q.expr, lenv, fkey)
-            self._visit(e.head, lenv, fkey)
-            return
-        for child in t.children(e):
-            if isinstance(child, t.Expr):
-                self._visit(child, env, fkey)
-            else:
-                self._visit_other(child, env, fkey)
+                    self.unbound.add(e.nid)
+                return
+            if isinstance(e, t.Match):
+                self._visit(e.expr, env, fkey)
+                self._bind_pattern(e.pattern, env, fkey)
+                self._flow_edge(e.expr.nid, e.pattern.nid)
+                return
+            if isinstance(e, t.Block):
+                self._visit_seq(e.exprs, env, fkey)
+                self._seq_flow(e.exprs, e)
+                return
+            if isinstance(e, t.Case):
+                self._visit(e.scrutinee, env, fkey)
+                branch_envs: list[dict[str, VarSem]] = []
+                for clause in e.clauses:
+                    benv = dict(env)
+                    self._bind_pattern(clause.patterns[0], benv, fkey)
+                    self._flow_edge(e.scrutinee.nid, clause.patterns[0].nid)
+                    self._visit_seq(clause.body, benv, fkey)
+                    self._seq_flow(clause.body, None)
+                    self._flow_edge(clause.body[-1].nid, e.nid)
+                    branch_envs.append(benv)
+                common = set.intersection(*(set(b) for b in branch_envs)) - set(env)
+                for name in sorted(common):
+                    merged = self._var_sem(fkey, name, None, e.nid)
+                    for benv in branch_envs:
+                        for b in benv[name].binders:
+                            if b not in merged.binders:
+                                merged.binders.append(b)
+                    env[name] = merged
+                return
+            if isinstance(e, t.Fun):
+                for clause in e.clauses:
+                    cenv = dict(env)
+                    for p in clause.patterns:
+                        self._bind_pattern(p, cenv, fkey, fresh=True)
+                    self._visit_seq(clause.body, cenv, fkey)
+                    self._seq_flow(clause.body, None)
+                return
+            if isinstance(e, t.ListComp):
+                lenv = dict(env)
+                for q in e.qualifiers:
+                    if isinstance(q, t.Generator):
+                        self._visit(q.source, lenv, fkey)
+                        self._bind_pattern(q.pattern, lenv, fkey)
+                    else:
+                        self._visit(q.expr, lenv, fkey)
+                self._visit(e.head, lenv, fkey)
+                return
+            kids = t.children(e)
+            last = kids.pop() if kids and isinstance(kids[-1], t.Expr) else None
+            for child in kids:
+                if isinstance(child, t.Expr):
+                    self._visit(child, env, fkey)
+                else:
+                    self._visit_other(child, env, fkey)
+            if last is None:
+                return
+            e = last
 
     def _visit_other(self, node: t.Node, env, fkey) -> None:
         for child in t.children(node):
@@ -600,6 +608,7 @@ class SemanticGraph:
         if parent is None or module_name is None:
             raise GraphError("cannot replace a detached or root node")
         new_nodes = new if isinstance(new, list) else [new]
+        owner = self._text_owner(old, parent)
         self._swap_child(parent, old, new_nodes)
         # When `old` already lives inside a pending replacement tree (a prior
         # replacement may reuse existing subtrees), the in-place swap above is
@@ -619,20 +628,37 @@ class SemanticGraph:
                 i = next(i for i, r in enumerate(edit[1]) if r is old)
                 self._splice(edit[1], i, i + 1, new_nodes)
         elif cur is None and old.span is not None:
-            self._record_edit(module_name, old.span, new)
+            self._record_edit(module_name, owner.span, new if owner is old else owner)
         self._unindex(old)
         for n in new_nodes:
             self._index(n, parent, module_name)
         self._invalidate()
         return new_nodes[0].nid
 
+    def _text_owner(self, node: t.Node, parent: t.Node) -> t.Node:
+        """The node whose source text a replacement of `node` rewrites.
+
+        The tail of a written list, `b, c]` in `[a, b, c]`, shares its
+        parent's closing bracket and has no text of its own; the edit goes
+        to the outermost cons of that written list, which is reprinted."""
+        owner = node
+        while (
+            isinstance(parent, t.Cons)
+            and parent.tail is owner
+            and owner.span is not None
+            and parent.span is not None
+            and owner.span[1] == parent.span[1]
+        ):
+            owner, parent = parent, self.parent(parent.nid)
+        return owner
+
     def _swap_child(self, parent: t.Node, old: t.Node, new_nodes: list[t.Node]) -> None:
-        for f in fields(parent):
-            v = getattr(parent, f.name)
+        for name in t.struct_fields(type(parent)):
+            v = getattr(parent, name)
             if v is old:
                 if len(new_nodes) != 1:
                     raise GraphError("sequence replacement requires a sequence position")
-                self._assign(parent, f.name, new_nodes[0])
+                self._assign(parent, name, new_nodes[0])
                 return
             if isinstance(v, list):
                 for i, item in enumerate(v):

@@ -3,13 +3,11 @@
 `match` returns every consistent extension of a seed binding set, in a
 deterministic order: list-metavariable splits are enumerated left to right,
 shortest first.  `instantiate` builds a fresh subtree from a replacement
-pattern, deep-copying bound subtrees so the result never aliases the matched
-code.
+pattern through `tree.rebuild`, and copies bound subtrees with
+`tree.copy_fresh`, so the result never aliases the matched code.
 """
 
 from __future__ import annotations
-
-from dataclasses import fields
 
 from . import tree as t
 
@@ -83,29 +81,6 @@ class Bindings:
         return out
 
 
-def _scalar_fields(node: t.Node) -> list:
-    out = []
-    for f in fields(node):
-        if f.name in ("nid", "span", "text"):
-            continue
-        v = getattr(node, f.name)
-        if not isinstance(v, (t.Node, list)):
-            out.append(v)
-    return out
-
-
-def _child_seqs(node: t.Node) -> list[list[t.Node] | t.Node]:
-    """Node-valued fields in declaration order; lists kept as lists."""
-    out = []
-    for f in fields(node):
-        if f.name in ("nid", "span", "text"):
-            continue
-        v = getattr(node, f.name)
-        if isinstance(v, (t.Node, list)):
-            out.append(v)
-    return out
-
-
 def match(pattern: t.Node, node: t.Node, seed: Bindings | None = None) -> list[Bindings]:
     return _match(pattern, node, seed if seed is not None else Bindings())
 
@@ -124,13 +99,17 @@ def _match(p: t.Node, n: t.Node, b: Bindings) -> list[Bindings]:
         return _match_clause(p, n, b)
     if type(p) is not type(n):
         return []
-    if _scalar_fields(p) != _scalar_fields(n):
-        return []
     results = [b]
-    for pv, nv in zip(_child_seqs(p), _child_seqs(n)):
-        if isinstance(pv, list) != isinstance(nv, list):
+    for name in t.struct_fields(type(p)):
+        pv, nv = getattr(p, name), getattr(n, name)
+        if isinstance(pv, t.Node) and isinstance(nv, t.Node):
+            step = _match
+        elif isinstance(pv, list) and isinstance(nv, list):
+            step = _match_seq
+        elif not isinstance(pv, (t.Node, list)) and pv == nv:
+            continue
+        else:
             return []
-        step = _match_seq if isinstance(pv, list) else _match
         results = [r for cur in results for r in step(pv, nv, cur)]
         if not results:
             return []
@@ -261,18 +240,4 @@ def instantiate(pattern: t.Node, b: Bindings):
         if isinstance(new_tail, list):
             raise MatchError("list tail cannot be a sequence")
         return t.mklist(new_elems, new_tail)
-    kwargs = {}
-    for f in fields(pattern):
-        if f.name in ("nid", "span", "text"):
-            continue
-        v = getattr(pattern, f.name)
-        if isinstance(v, t.Node):
-            r = instantiate(v, b)
-            if isinstance(r, list):
-                raise MatchError("sequence value in a single-node position")
-            kwargs[f.name] = r
-        elif isinstance(v, list):
-            kwargs[f.name] = instantiate(v, b)
-        else:
-            kwargs[f.name] = v
-    return type(pattern)(**kwargs)
+    return t.rebuild(pattern, lambda v: instantiate(v, b))

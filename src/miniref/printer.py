@@ -37,10 +37,6 @@ def _seq(exprs: list[t.Expr], ind: str) -> str:
     return (",\n" + ind).join(print_expr(e, ind) for e in exprs)
 
 
-def _inline_body(body: list[t.Expr], ind: str) -> str:
-    return ", ".join(print_expr(e, ind) for e in body)
-
-
 def _simple(e: t.Expr) -> bool:
     return isinstance(e, (t.Atom, t.Integer, t.Var, t.Nil, t.Metavar, t.MathVar, t.SymVar))
 

@@ -7,11 +7,19 @@ equality deliberately ignores ids and spans.
 The pattern-language extensions (metavariables) and the verifier's symbolic
 leaves (math variables) live here too, so the printer and equality helpers
 cover every term the toolchain manipulates.
+
+This module also holds the one generic view of the syntax that every other
+module traverses through: `struct_fields` names a node class's structural
+fields (all but the id, the span and a module's source text), and
+`children`, `walk`, `rebuild`, `struct_key`, `struct_eq` and `copy_fresh`
+are written over it once.  Each field of a given class holds either a
+child node, a list of child nodes, or a scalar; none of these traversals
+recurses, so a long list or a deep term costs no Python stack.
 """
 
 from __future__ import annotations
 
-import copy
+import functools
 import itertools
 from dataclasses import dataclass, field, fields
 
@@ -213,19 +221,21 @@ class SeqVar(Expr):
 
 # --- generic traversal ------------------------------------------------------
 
-_SCALARS = (str, int, bytes, bool, type(None), tuple)
+
+@functools.cache
+def struct_fields(cls: type) -> tuple[str, ...]:
+    """The structural fields of a node class, in declaration order."""
+    return tuple(f.name for f in fields(cls) if f.name not in ("nid", "span", "text"))
 
 
 def children(node: Node) -> list[Node]:
     out: list[Node] = []
-    for f in fields(node):
-        if f.name in ("nid", "span", "text"):
-            continue
-        v = getattr(node, f.name)
+    for name in struct_fields(type(node)):
+        v = getattr(node, name)
         if isinstance(v, Node):
             out.append(v)
         elif isinstance(v, list):
-            out.extend(x for x in v if isinstance(x, Node))
+            out.extend(v)
     return out
 
 
@@ -238,33 +248,67 @@ def walk(node: Node):
         stack.extend(reversed(children(n)))
 
 
-def struct_key(node: Node):
-    """A hashable key capturing the tree's structure, ignoring ids and spans."""
-    parts: list = [type(node).__name__]
-    for f in fields(node):
-        if f.name in ("nid", "span", "text"):
-            continue
-        v = getattr(node, f.name)
+def rebuild(node: Node, f) -> Node:
+    """A new node of `node`'s class with a fresh id and no span: `f` maps
+    each node field and each list field (as a whole); scalars are kept."""
+    kwargs = {}
+    for name in struct_fields(type(node)):
+        v = getattr(node, name)
         if isinstance(v, Node):
-            parts.append(struct_key(v))
+            v = f(v)
+            if isinstance(v, list):
+                raise ValueError("sequence value in a single-node position")
         elif isinstance(v, list):
-            parts.append(tuple(struct_key(x) if isinstance(x, Node) else x for x in v))
-        else:
-            parts.append(v)
-    return tuple(parts)
+            v = f(v)
+        kwargs[name] = v
+    return type(node)(**kwargs)
+
+
+def _tokens(node: Node):
+    """One token per node in pre-order: its class, its scalars and the
+    length of each list field.  The class fixes which fields are nodes,
+    lists or scalars, so the stream determines the tree."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        tok: list = [type(n)]
+        kids: list[Node] = []
+        for name in struct_fields(type(n)):
+            v = getattr(n, name)
+            if isinstance(v, Node):
+                kids.append(v)
+            elif isinstance(v, list):
+                tok.append(len(v))
+                kids.extend(v)
+            else:
+                tok.append(v)
+        yield tuple(tok)
+        stack.extend(reversed(kids))
+
+
+def struct_key(node: Node) -> tuple:
+    """A hashable key capturing the tree's structure, ignoring ids and spans.
+
+    The key is flat (a tuple of per-node tokens), so hashing and comparing
+    it do not recurse however deep the tree is."""
+    return tuple(_tokens(node))
 
 
 def struct_eq(a: Node, b: Node) -> bool:
-    return struct_key(a) == struct_key(b)
+    """`struct_key(a) == struct_key(b)`, stopping at the first difference."""
+    return a is b or all(x == y for x, y in itertools.zip_longest(_tokens(a), _tokens(b)))
 
 
 def copy_fresh(node: Node) -> Node:
-    """Deep copy with fresh node ids and no spans (a detached new subtree)."""
-    dup = copy.deepcopy(node)
-    for n in walk(dup):
-        n.nid = new_id()
-        n.span = None
-    return dup
+    """Copy with fresh node ids and no spans (a detached new subtree)."""
+    copies: dict[int, Node] = {}
+
+    def copied(v):
+        return [copies[id(x)] for x in v] if isinstance(v, list) else copies[id(v)]
+
+    for n in reversed(list(walk(node))):
+        copies[id(n)] = rebuild(n, copied)
+    return copies[id(node)]
 
 
 def mklist(elems: list[Expr], tail: Expr | None = None) -> Expr:
@@ -289,6 +333,4 @@ PATTERN_TYPES = (Var, Atom, Integer, Nil, Cons, Tuple, Metavar, ListMetavar)
 
 
 def is_pattern(node: Node) -> bool:
-    if not isinstance(node, PATTERN_TYPES):
-        return False
-    return all(is_pattern(c) for c in children(node))
+    return all(isinstance(n, PATTERN_TYPES) for n in walk(node))

@@ -35,7 +35,7 @@ from .goals import (
 )
 from .interp import Cutoff, Stuck, Value, interpret
 from .prover import ProofGoal, ProofResult, entails, format_trace, replay, scc_prove
-from .rules import aggregate, semantics_rules, step_config, try_step
+from .rules import step_config, try_step
 
 __all__ = [
     "Config",
@@ -58,7 +58,6 @@ __all__ = [
     "SymDefs",
     "SymEnv",
     "Value",
-    "aggregate",
     "dynamic_verify",
     "entails",
     "format_trace",
@@ -71,7 +70,6 @@ __all__ = [
     "replay",
     "satisfies",
     "scc_prove",
-    "semantics_rules",
     "step_config",
     "term_eq",
     "try_step",

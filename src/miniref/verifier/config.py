@@ -261,7 +261,7 @@ def subst_math(term, env: dict):
         return t.Atom(v) if isinstance(v, str) else v
     if not isinstance(term, t.Node):
         return term
-    return _rebuild(term, lambda child: subst_math(child, env))
+    return t.rebuild(term, lambda child: subst_math(child, env))
 
 
 def subst_program_vars(term, env: dict):
@@ -282,7 +282,7 @@ def subst_program_vars(term, env: dict):
         return env[term.name]
     if not isinstance(term, t.Node):
         return term
-    return _rebuild(term, lambda child: subst_program_vars(child, env))
+    return t.rebuild(term, lambda child: subst_program_vars(child, env))
 
 
 def _subst_fun_clause(clause: t.Clause, env: dict) -> t.Clause:
@@ -295,26 +295,6 @@ def _subst_fun_clause(clause: t.Clause, env: dict) -> t.Clause:
         subst_program_vars(clause.patterns, {}),
         subst_program_vars(clause.body, inner),
     )
-
-
-def _rebuild(node: t.Node, f):
-    from dataclasses import fields as dc_fields
-
-    kwargs = {}
-    for fld in dc_fields(node):
-        if fld.name in ("nid", "span", "text"):
-            continue
-        v = getattr(node, fld.name)
-        if isinstance(v, t.Node):
-            r = f(v)
-            if isinstance(r, list):
-                raise ValueError("sequence variable in a single-node position")
-            kwargs[fld.name] = r
-        elif isinstance(v, list):
-            kwargs[fld.name] = f(v)
-        else:
-            kwargs[fld.name] = v
-    return type(node)(**kwargs)
 
 
 def unify(pattern, subject, binding: dict | None = None) -> dict | None:
@@ -341,12 +321,8 @@ def _unify(p, s, b):
         return None
     if type(p) is not type(s):
         return None
-    from dataclasses import fields as dc_fields
-
-    for fld in dc_fields(p):
-        if fld.name in ("nid", "span", "text"):
-            continue
-        pv, sv = getattr(p, fld.name), getattr(s, fld.name)
+    for name in t.struct_fields(type(p)):
+        pv, sv = getattr(p, name), getattr(s, name)
         if isinstance(pv, t.Node):
             if not isinstance(sv, t.Node):
                 return None

@@ -44,9 +44,7 @@ def symbolize(node, name_pos: bool = False):
         )
     if not isinstance(node, t.Node):
         return node
-    from .config import _rebuild
-
-    return _rebuild(node, lambda child: symbolize(child))
+    return t.rebuild(node, symbolize)
 
 
 def _as_code(exprs) -> t.Expr:
@@ -129,9 +127,7 @@ def _subst_metavar(node, name: str, repl):
         return t.copy_fresh(repl)
     if not isinstance(node, t.Node):
         return node
-    from .config import _rebuild
-
-    return _rebuild(node, lambda child: _subst_metavar(child, name, repl))
+    return t.rebuild(node, lambda child: _subst_metavar(child, name, repl))
 
 
 def goals_from_dataflow(scheme: SchemeDef) -> list[ProofGoal]:

@@ -45,8 +45,7 @@ keep and substitution shares the values it inserts.  Rule tags:
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 from .. import tree as t
@@ -184,16 +183,11 @@ def _at(node: t.Node, field: str, index: int | None = None) -> Focus:
     seq = getattr(node, field)
 
     def plug(new):
-        kept = {f: getattr(node, f) for f in _init_fields(type(node))}
+        kept = {f: getattr(node, f) for f in t.struct_fields(type(node))}
         kept[field] = new if index is None else seq[:index] + [new] + seq[index + 1 :]
         return type(node)(**kept)
 
     return Focus(seq if index is None else seq[index], plug)
-
-
-@functools.cache
-def _init_fields(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls) if f.init and f.name not in ("nid", "span"))
 
 
 def _first_open(node: t.Node, field: str) -> Focus | None:
@@ -471,20 +465,6 @@ def step_config(cfg: Config, cs=()) -> Step | None:
     return try_step(cfg.code, cfg.env, cfg.defs, cs)
 
 
-@dataclass(frozen=True)
-class Rule:
-    """A named member of the rule catalog, applicable at the focus."""
-
-    tag: str
-    doc: str
-
-    def apply(self, cfg: Config, cs=()):
-        step = step_config(cfg, cs)
-        if step is None or step.tag != self.tag:
-            return None
-        return [(Config(code, env, cfg.defs), extra) for code, env, extra in step.branches]
-
-
 _CATALOG = [
     ("seq-match-to-case", "block starting with a match becomes a case"),
     ("block-elim", "singleton block unwraps"),
@@ -509,29 +489,3 @@ _CATALOG = [
     ("length", "length of a proper list"),
     ("map-unfold", "one unfolding of the well-known list map"),
 ]
-
-
-def semantics_rules() -> list[Rule]:
-    return [Rule(tag, doc) for tag, doc in _CATALOG]
-
-
-@dataclass(frozen=True)
-class AggRule:
-    """A catalog rule lifted to one side of the paired configuration."""
-
-    tag: str
-    side: str
-    base: Rule
-
-    def apply(self, eq, cs=()):
-        got = self.base.apply(eq.side(self.side), cs)
-        if got is None:
-            return None
-        return [(eq.with_side(self.side, cfg), extra) for cfg, extra in got]
-
-
-def aggregate(rules: list[Rule]) -> list[AggRule]:
-    out = []
-    for side in ("cfg1", "cfg2"):
-        out.extend(AggRule(r.tag, side, r) for r in rules)
-    return out

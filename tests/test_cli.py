@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from miniref.cli import main
+from miniref.parser import parse_module
 
 SAMPLES = Path(__file__).resolve().parent.parent / "src" / "miniref" / "samples"
 APPLE = SAMPLES / "apple.erl"
@@ -51,6 +52,15 @@ def test_apply_refuses_an_expression_in_a_pattern_position(work, capsys):
     # `(fun() -> X end)() = ...`, which does not parse
     assert main(["apply", str(work), "wrap_into_fun", "--at", "5:5", "--write"]) == 1
     assert "pattern position" in capsys.readouterr().err
+    assert work.read_bytes() == APPLE.read_bytes()
+
+
+def test_apply_with_an_unbound_replacement_metavariable_fails(work, tmp_path, capsys):
+    refl = tmp_path / "unb.refl"
+    refl.write_text("REFACTORING unb()\n    atom_to_list(A)\n    -----\n    atom_to_list(B)\n")
+    args = ["apply", str(work), "unb", "--at", "6:17", "--defs", str(refl), "--write"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "failed: unbound metavariable B\n"
     assert work.read_bytes() == APPLE.read_bytes()
 
 
@@ -158,10 +168,51 @@ def test_graph_of_a_directory_is_exit_3(tmp_path, capsys):
 
 def test_deeply_nested_input_is_exit_3(tmp_path, capsys):
     deep = tmp_path / "deep.erl"
-    elems = ", ".join(str(i % 10) for i in range(1500))
-    deep.write_text(f"-module(deep).\n-export([f/0]).\nf() -> [{elems}].\n")
+    depth = 2000  # beyond what the recursive-descent parser reads
+    deep.write_text(f"-module(deep).\n-export([f/0]).\nf() -> {'{' * depth}0{'}' * depth}.\n")
     assert main(["graph", str(deep)]) == 3
     assert capsys.readouterr().err == "error: input nests too deeply\n"
+
+
+def _long_list_module(tmp_path, n):
+    path = tmp_path / "long.erl"
+    elems = ", ".join(str(i % 10) for i in range(n))
+    path.write_text(f"-module(long).\n-export([f/0]).\nf() -> [{elems}].\n")
+    return path
+
+
+def test_graph_of_a_long_list_literal(tmp_path, capsys):
+    assert main(["graph", str(_long_list_module(tmp_path, 1500))]) == 0
+    assert capsys.readouterr().out == "long:f/0 [pure] refs=1\n"
+
+
+def test_wrap_a_long_list_literal(tmp_path):
+    work = _long_list_module(tmp_path, 300)
+    assert main(["apply", str(work), "wrap_into_fun", "--at", "3:8", "--write"]) == 0
+    out = work.read_bytes()
+    assert out.startswith(b"-module(long).\n-export([f/0]).\nf() -> (fun() -> [0, 1, 2,")
+    parse_module(out)
+
+
+def test_a_long_list_pattern_loads(tmp_path, capsys):
+    path = tmp_path / "pat.erl"
+    pattern = ", ".join(f"X{i}" for i in range(600))
+    path.write_text(f"-module(pat).\n-export([f/1]).\nf([{pattern}]) -> X0.\n")
+    assert main(["graph", str(path)]) == 0
+    assert capsys.readouterr().out == "pat:f/1 [pure] refs=1\n"
+
+
+def test_dynamic_test_of_a_deep_result_value(tmp_path, capsys):
+    # w/2 nests its result two levels per element: 1000 levels in all
+    path = tmp_path / "deep.erl"
+    elems = ", ".join("a" for _ in range(500))
+    path.write_text(
+        "-module(deep).\n-export([f/0]).\n"
+        f"f() -> w(x, [{elems}]).\n"
+        "w(X, []) -> X;\nw(X, [_ | T]) -> [[w(X, T)]].\n"
+    )
+    assert main(["test", str(path), str(path), "--samples", "2"]) == 0
+    assert "0 divergence(s)" in capsys.readouterr().out
 
 
 def test_unknown_subcommand_is_usage(capsys):

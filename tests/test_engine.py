@@ -47,6 +47,52 @@ def test_extract_listhead_nested_wraps_block():
     assert "V = g(1)" in rendered
 
 
+_FRUITS = b"-module(m).\nf() -> [b, apple, pear].\n"
+
+
+def _cons_of(g, head):
+    """The cons cell of the first written list whose head is the atom `head`."""
+    return next(
+        n for n in t.walk(g.modules[0])
+        if isinstance(n, t.Cons) and isinstance(n.head, t.Atom) and n.head.name == head
+    )
+
+
+@pytest.mark.parametrize(
+    "src, head, body",
+    [
+        (_FRUITS, "apple", b"f() -> [b | (fun() -> [apple, pear] end)()].\n"),
+        (_FRUITS, "pear", b"f() -> [b, apple | (fun() -> [pear] end)()].\n"),
+        # an explicit tail has text of its own and is rewritten alone
+        (
+            b"-module(m).\nf() -> [x | [b, apple, pear]].\n",
+            "apple",
+            b"f() -> [x | [b | (fun() -> [apple, pear] end)()]].\n",
+        ),
+    ],
+    ids=["middle-tail", "last-tail", "inside-explicit-tail"],
+)
+def test_rewriting_a_list_tail_reprints_its_written_list(src, head, body):
+    g, eng = setup(src, "composite.refl")
+    assert eng.run("wrap_into_fun", _cons_of(g, head)).ok
+    out = g.render("m")
+    assert out == b"-module(m).\n" + body
+    parse_module(out)
+
+
+def test_list_tail_edit_rolls_back():
+    g, _ = setup(_FRUITS)
+    g.txn_begin()
+    g.txn_replace(_cons_of(g, "apple").nid, t.Var("T"))
+    assert g.render("m") == b"-module(m).\nf() -> [b | T].\n"
+    g.txn_rollback()
+    assert g.render("m") == _FRUITS and g.edits["m"] == []
+    g.txn_begin()
+    g.txn_replace(_cons_of(g, "b").nid, t.Atom("ok"))
+    assert g.render("m") == b"-module(m).\nf() -> ok.\n"
+    g.txn_commit()
+
+
 def test_add_module_qualifier():
     src = b"-module(m).\nf() -> ok.\ng() ->\n    foo(1, 2).\n"
     g, eng = setup(src, "local.refl")

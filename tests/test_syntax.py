@@ -1,5 +1,9 @@
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from miniref import tree as t
 from miniref.lexer import MiniErlangSyntaxError
@@ -200,3 +204,74 @@ def test_copy_fresh_preserves_structure_and_renames_ids(e):
     assert t.struct_eq(e, dup)
     assert {n.nid for n in t.walk(e)}.isdisjoint({n.nid for n in t.walk(dup)})
     assert all(n.span is None for n in t.walk(dup))
+
+
+def _recursive_key(node):
+    """The former nested `struct_key`, the reference for the flat one."""
+    parts: list = [type(node).__name__]
+    for f in fields(node):
+        if f.name in ("nid", "span", "text"):
+            continue
+        v = getattr(node, f.name)
+        if isinstance(v, t.Node):
+            parts.append(_recursive_key(v))
+        elif isinstance(v, list):
+            parts.append(tuple(_recursive_key(x) if isinstance(x, t.Node) else x for x in v))
+        else:
+            parts.append(v)
+    return tuple(parts)
+
+
+# few leaves over two atoms, so that equal pairs are common
+_small_exprs = st.recursive(
+    st.one_of(st.builds(t.Atom, st.sampled_from(["a", "b"])), st.builds(t.Nil)),
+    _exprs,
+    max_leaves=4,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_small_exprs, _small_exprs)
+@example(parse_expr("[a, [b]]"), parse_expr("[[a], b]"))
+@example(parse_expr("{a, {b}}"), parse_expr("{{a}, b}"))
+@example(parse_expr("{{}, a}"), parse_expr("{{a}}"))
+def test_flat_struct_eq_agrees_with_the_recursive_key(a, b):
+    same = _recursive_key(a) == _recursive_key(b)
+    assert t.struct_eq(a, b) == same
+    assert (t.struct_key(a) == t.struct_key(b)) == same
+
+
+def _long(n, last=0):
+    return t.mklist([t.Integer(i) for i in range(n - 1)] + [t.Integer(last)])
+
+
+def _deep(n, leaf=0):
+    out: t.Expr = t.Integer(leaf)
+    for _ in range(n):
+        out = t.Tuple([out])
+    return out
+
+
+@pytest.mark.parametrize("build", [_long, _deep], ids=["long", "deep"])
+def test_struct_key_struct_eq_and_copy_fresh_on_large_terms(build):
+    a, b, other = build(5000), build(5000), build(5000, 1)
+    assert t.struct_eq(a, b) and not t.struct_eq(a, other)
+    assert hash(t.struct_key(a)) == hash(t.struct_key(b))
+    assert t.struct_key(a) == t.struct_key(b) != t.struct_key(other)
+    dup = t.copy_fresh(a)
+    assert t.struct_eq(a, dup)
+    assert {n.nid for n in t.walk(a)}.isdisjoint(n.nid for n in t.walk(dup))
+
+
+def test_only_the_tree_module_reads_the_node_schema():
+    # every traversal goes through tree.struct_fields, rebuild and copy_fresh
+    src = Path(t.__file__).parent
+    banned = re.compile(r"dataclasses\.fields|\bfields\(|deepcopy")
+    hits = [
+        f"{path.relative_to(src)}:{i}"
+        for path in sorted(src.rglob("*.py"))
+        if path != src / "tree.py"
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert hits == []

@@ -22,7 +22,6 @@ from miniref.verifier import (
     SymDefs,
     SymEnv,
     Value,
-    aggregate,
     dynamic_verify,
     entails,
     format_trace,
@@ -34,13 +33,12 @@ from miniref.verifier import (
     replay,
     satisfies,
     scc_prove,
-    semantics_rules,
     step_config,
     term_eq,
 )
 from miniref.verifier import rules
 from miniref.verifier.config import subst_math, unify
-from miniref.verifier.rules import Rule, sym_match
+from miniref.verifier.rules import sym_match
 
 DEFS_DIR = Path(__file__).resolve().parent.parent / "src" / "miniref" / "definitions"
 
@@ -159,23 +157,6 @@ def test_case_split_forks_with_both_constraints():
     assert step.tag == "case-split" and len(step.branches) == 2
     kinds = {type(c).__name__ for _, _, extra in step.branches for c in extra}
     assert kinds == {"Matches", "NotMatches"}
-
-
-def test_aggregate_doubles_catalog_and_isolates_sides():
-    rules = semantics_rules()
-    agg = aggregate(rules)
-    assert len(agg) == 2 * len(rules)
-    eq = EqConfig(cfg(parse_expr("begin 1 end")), cfg(parse_expr("begin 2 end")))
-    rule = next(r for r in agg if r.tag == "block-elim" and r.side == "cfg1")
-    [(eq2, _)] = rule.apply(eq)
-    assert term_eq(eq2.cfg1.code, t.Integer(1))
-    assert term_eq(eq2.cfg2.code, eq.cfg2.code)  # untouched
-
-
-def test_catalog_rules_apply_only_their_own_tag():
-    r = Rule("int-add", "")
-    assert r.apply(cfg(parse_expr("1 + 2"))) is not None
-    assert r.apply(cfg(parse_expr("[1 | []]"))) is None
 
 
 # -- entailment ------------------------------------------------------------------
