@@ -160,8 +160,13 @@ class Engine:
     def _survivors(self, step: RuleStep, node: t.Node, seed: Bindings) -> list[Bindings]:
         """The matches of `step` at `node` that extend `seed` and satisfy the
         step's condition, with the bindings the condition adds."""
+        return self._admitted(step, node, match(step.matching, node, seed))
+
+    def _admitted(self, step: RuleStep, node: t.Node, candidates: list[Bindings]) -> list[Bindings]:
+        """The `candidates` that satisfy the step's condition, extended with
+        the bindings the condition adds."""
         out = []
-        for cand in match(step.matching, node, seed):
+        for cand in candidates:
             if step.condition is None:
                 out.append(cand)
                 continue
@@ -174,11 +179,17 @@ class Engine:
         return out
 
     def apply_rule_at(self, step: RuleStep, target: t.Node, ctx: ExecContext) -> t.Node:
-        survivors = self._survivors(step, target, ctx.bindings)
+        candidates = match(step.matching, target, ctx.bindings)
+        survivors = self._admitted(step, target, candidates)
+        where = type(target).__name__
+        if not candidates:
+            raise RefacFail(f"pattern does not match {where}")
         if not survivors:
-            raise RefacFail(f"rule does not apply at {type(target).__name__}")
+            raise RefacFail(
+                f"pattern matches {len(candidates)} ways at {where}, the condition rejects all"
+            )
         if len(survivors) > 1:
-            raise RefacFail("ambiguous match: more than one solution survives the conditions")
+            raise RefacFail(f"ambiguous match: {len(survivors)} solutions survive the conditions")
         b = survivors[0]
         replacement = _instantiate(step.replacement, b)
         if isinstance(step.matching, t.ClausePat):

@@ -2,9 +2,16 @@
 
 `match` returns every consistent extension of a seed binding set, in a
 deterministic order: list-metavariable splits are enumerated left to right,
-shortest first.  `instantiate` builds a fresh subtree from a replacement
-pattern through `tree.rebuild`, and copies bound subtrees with
-`tree.copy_fresh`, so the result never aliases the matched code.
+shortest first.  An unbound list metavariable only tries the lengths that
+the rest of its sequence can accept: when every list metavariable after it
+is bound, the fixed elements and those bindings leave it exactly one length,
+so the trailing `B..` of `{A.., B..}` takes the whole rest in one bind.
+Matching a sequence costs time linear in its length plus one bind per split
+tried: `{A.., B..}` against an n-tuple makes 2n + 2 binds for its n + 1
+results, where enumerating every split of `B..` made about n * n / 2.
+`instantiate` builds a fresh subtree from a replacement pattern through
+`tree.rebuild`, and copies bound subtrees with `tree.copy_fresh`, so the
+result never aliases the matched code.
 """
 
 from __future__ import annotations
@@ -137,53 +144,108 @@ def _match_list(p: t.Expr, n: t.Expr, b: Bindings) -> list[Bindings]:
         n_elems.append(cur.head)
         cur = cur.tail
         n_suffixes.append(cur)
-    n_tail = None if isinstance(cur, t.Nil) else cur
     if p_tail is None:
-        if n_tail is not None:
-            return []
-        return _match_seq(p_elems, n_elems, b)
-    out = []
-    if _has_listmeta(p_elems):
-        start = sum(0 if isinstance(x, t.ListMetavar) else 1 for x in p_elems)
-        splits = range(start, len(n_elems) + 1)
-    else:
-        splits = [len(p_elems)]
-    for j in splits:
-        if j > len(n_elems):
-            break
-        for cur_b in _match_seq(p_elems, n_elems[:j], b):
-            out.extend(_match(p_tail, n_suffixes[j], cur_b))
-    return out
-
-
-def _has_listmeta(patterns: list[t.Node]) -> bool:
-    return any(isinstance(p, t.ListMetavar) for p in patterns)
+        return _match_seq(p_elems, n_elems, b) if isinstance(cur, t.Nil) else []
+    # the elements take a prefix and the tail pattern the rest, shorter prefixes first
+    names, _, fixed = _layout(p_elems)
+    lo, hi = _bounds(b, names, fixed, len(n_elems))
+    return [
+        r
+        for end in range(lo, hi + 1)
+        for cur_b in _match_seq(p_elems, n_elems[:end], b)
+        for r in _match(p_tail, n_suffixes[end], cur_b)
+    ]
 
 
 def _match_seq(patterns: list[t.Node], nodes: list[t.Node], b: Bindings) -> list[Bindings]:
+    """Every extension of `b` under which `patterns` match all of `nodes`.
+
+    A depth-first search over an explicit stack of branch iterators, so
+    neither a long sequence nor many list metavariables use Python stack.
+    A fixed element consumes one node; a bound list metavariable is compared
+    in place; an unbound one branches over the split lengths that `_bounds`
+    leaves for the patterns after it, shortest first.
+    """
     if not patterns:
-        return [b] if not nodes else []
-    head, rest = patterns[0], patterns[1:]
-    if isinstance(head, t.ListMetavar):
-        if head.name in b:
-            bound = b[head.name]
-            if not isinstance(bound, list):
-                bound = [bound]
-            k = len(bound)
-            if k > len(nodes) or not val_eq(bound, nodes[:k]):
-                return []
-            return _match_seq(rest, nodes[k:], b)
-        min_rest = sum(0 if isinstance(p, t.ListMetavar) else 1 for p in rest)
-        out = []
-        for k in range(0, len(nodes) - min_rest + 1):
-            nb = b.bind(head.name, list(nodes[:k]))
-            if nb is None:
-                continue
-            out.extend(_match_seq(rest, nodes[k:], nb))
-        return out
-    if not nodes:
-        return []
-    return [r for cur in _match(head, nodes[0], b) for r in _match_seq(rest, nodes[1:], cur)]
+        return [] if nodes else [b]
+    names, rests, _ = _layout(patterns)
+    n, m = len(nodes), len(patterns)
+    out, stack, state = [], [], (0, 0, b)
+    while state is not None:
+        j, i, b = state
+        while j < m:
+            p = patterns[j]
+            if not isinstance(p, t.ListMetavar):
+                rs = _match(p, nodes[i], b) if i < n else []
+                if len(rs) != 1:  # no candidate, or several to branch over
+                    stack.append(iter([(j + 1, i + 1, r) for r in rs]))
+                    break
+                b, i, j = rs[0], i + 1, j + 1
+            elif p.name in b:
+                bound = _as_seq(b[p.name])
+                if not val_eq(bound, nodes[i : i + len(bound)]):
+                    break
+                i, j = i + len(bound), j + 1
+            else:
+                fixed, count = rests[j]
+                room = n - i
+                lo, hi = _bounds(b, names[:count], fixed, room)
+                if lo != hi:
+                    stack.append(_splits(b, p.name, nodes, i, range(room - hi, room - lo + 1), j + 1))
+                    break
+                k = room - lo  # the one length left: bind it without branching
+                b, i, j = b.bind(p.name, nodes[i : i + k]), i + k, j + 1
+        else:
+            if i == n:
+                out.append(b)
+        state = _resume(stack)
+    return out
+
+
+def _resume(stack: list):
+    """The next state of the innermost branch left, or None when none is."""
+    while stack:
+        state = next(stack[-1], None)
+        if state is not None:
+            return state
+        stack.pop()
+    return None
+
+
+def _layout(patterns: list[t.Node]) -> tuple[list[str], dict[int, tuple[int, int]], int]:
+    """The names of the list metavariables in `patterns`, last first; for
+    the position of each, the number of fixed elements and of list
+    metavariables after it; and the number of fixed elements."""
+    names, rests, fixed = [], {}, 0
+    for j in range(len(patterns) - 1, -1, -1):
+        if isinstance(patterns[j], t.ListMetavar):
+            rests[j] = (fixed, len(names))
+            names.append(patterns[j].name)
+        else:
+            fixed += 1
+    return names, rests, fixed
+
+
+def _bounds(b: Bindings, names: list[str], fixed: int, room: int) -> tuple[int, int]:
+    """The fewest and most of `room` nodes that `fixed` fixed elements and the
+    list metavariables `names` can consume: exactly their total length when
+    `b` binds all of those metavariables.  Empty when the fewest exceeds the
+    most."""
+    taken = fixed
+    for name in names:
+        if name not in b:
+            return fixed, room
+        taken += len(_as_seq(b[name]))
+    return taken, min(taken, room)
+
+
+def _splits(b: Bindings, name: str, nodes: list[t.Node], i: int, lengths: range, j: int):
+    for k in lengths:
+        yield j, i + k, b.bind(name, nodes[i : i + k])
+
+
+def _as_seq(value) -> list:
+    return value if isinstance(value, list) else [value]
 
 
 # --- instantiation ----------------------------------------------------------

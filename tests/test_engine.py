@@ -118,6 +118,26 @@ def test_ambiguous_match_is_failure():
     assert g.render("m") == src
 
 
+@pytest.mark.parametrize(
+    "rule, reason",
+    [
+        ("{X}\n    -----\n    [X]\n", "pattern does not match Tuple"),
+        (
+            "{A.., B..}\n    -----\n    {B.., A..}\nWHEN\n    atom(A)\n",
+            "pattern matches 3 ways at Tuple, the condition rejects all",
+        ),
+        ("{A.., B..}\n    -----\n    {B.., A..}\n", "ambiguous match: 3 solutions survive the conditions"),
+    ],
+    ids=["no-match", "condition-rejects-all", "ambiguous"],
+)
+def test_rule_failure_names_the_stage_that_rejected_the_target(rule, reason):
+    src = b"-module(m).\nf() ->\n    {1, 2}.\n"
+    g = build_graph([parse_module(src)])
+    out = Engine(g, parse_refl("REFACTORING r()\n    " + rule)).run("r", at(g, 3, 5))
+    assert not out.ok and out.reason == reason
+    assert g.render("m") == src
+
+
 def test_or_combinator_takes_right_on_left_failure():
     text = (
         "REFACTORING leftright()\n"

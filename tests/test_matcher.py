@@ -1,4 +1,6 @@
-from hypothesis import given, settings, strategies as st
+import time
+
+from hypothesis import example, given, settings, strategies as st
 
 from miniref import tree as t
 from miniref.matcher import Bindings, instantiate, match, val_eq
@@ -82,6 +84,23 @@ def test_clause_pattern_against_function_clause():
 def test_atom_scalar_mismatch():
     assert match(pat("f(1)"), code("f(2)")) == []
     assert match(pat("f(X)"), code("g(Y)")) == []
+
+
+def test_flat_patterns_need_no_stack():
+    elems = ", ".join(f"e{i}" for i in range(1500))
+    for text in ("{" + elems + "}", "[" + elems + "]"):
+        assert len(match(pat(text), code(text))) == 1
+
+
+def test_two_list_metavars_on_a_wide_tuple_are_linear():
+    # one bind per split of A.., and B.. takes the rest in one bind: the
+    # quadratic enumeration took about 18 s here
+    subject = code("{" + ", ".join(f"e{i}" for i in range(2000)) + "}")
+    start = time.perf_counter()
+    results = match(pat("{A.., B..}"), subject)
+    assert time.perf_counter() - start < 2.0
+    assert len(results) == 2001
+    assert [len(b["A"]) for b in results] == list(range(2001))
 
 
 # -- instantiation -----------------------------------------------------------
@@ -178,3 +197,155 @@ def test_val_eq_coercions():
     assert val_eq(t.Var("X"), "X")
     assert not val_eq(t.Atom("ok"), "nope")
     assert not val_eq(t.Tuple([]), "ok")
+
+
+# -- the former quadratic split enumeration, kept as the reference -----------
+
+
+def _ref_match(p, n, b):
+    if isinstance(p, t.Metavar):
+        nb = b.bind(p.name, n)
+        return [nb] if nb is not None else []
+    if isinstance(p, t.ListMetavar):
+        nb = b.bind(p.name, [n])
+        return [nb] if nb is not None else []
+    if isinstance(p, (t.Cons, t.Nil)) and isinstance(n, (t.Cons, t.Nil)):
+        return _ref_match_list(p, n, b)
+    if type(p) is not type(n):
+        return []
+    results = [b]
+    for name in t.struct_fields(type(p)):
+        pv, nv = getattr(p, name), getattr(n, name)
+        if isinstance(pv, t.Node) and isinstance(nv, t.Node):
+            step = _ref_match
+        elif isinstance(pv, list) and isinstance(nv, list):
+            step = _ref_match_seq
+        elif not isinstance(pv, (t.Node, list)) and pv == nv:
+            continue
+        else:
+            return []
+        results = [r for cur in results for r in step(pv, nv, cur)]
+        if not results:
+            return []
+    return results
+
+
+def _ref_match_list(p, n, b):
+    p_elems, p_tail = t.unlist(p)
+    n_elems, n_suffixes = [], [n]
+    cur = n
+    while isinstance(cur, t.Cons):
+        n_elems.append(cur.head)
+        cur = cur.tail
+        n_suffixes.append(cur)
+    n_tail = None if isinstance(cur, t.Nil) else cur
+    if p_tail is None:
+        if n_tail is not None:
+            return []
+        return _ref_match_seq(p_elems, n_elems, b)
+    out = []
+    if any(isinstance(x, t.ListMetavar) for x in p_elems):
+        start = sum(0 if isinstance(x, t.ListMetavar) else 1 for x in p_elems)
+        splits = range(start, len(n_elems) + 1)
+    else:
+        splits = [len(p_elems)]
+    for j in splits:
+        if j > len(n_elems):
+            break
+        for cur_b in _ref_match_seq(p_elems, n_elems[:j], b):
+            out.extend(_ref_match(p_tail, n_suffixes[j], cur_b))
+    return out
+
+
+def _ref_match_seq(patterns, nodes, b):
+    if not patterns:
+        return [b] if not nodes else []
+    head, rest = patterns[0], patterns[1:]
+    if isinstance(head, t.ListMetavar):
+        if head.name in b:
+            bound = b[head.name]
+            if not isinstance(bound, list):
+                bound = [bound]
+            k = len(bound)
+            if k > len(nodes) or not val_eq(bound, nodes[:k]):
+                return []
+            return _ref_match_seq(rest, nodes[k:], b)
+        min_rest = sum(0 if isinstance(p, t.ListMetavar) else 1 for p in rest)
+        out = []
+        for k in range(0, len(nodes) - min_rest + 1):
+            nb = b.bind(head.name, list(nodes[:k]))
+            if nb is None:
+                continue
+            out.extend(_ref_match_seq(rest, nodes[k:], nb))
+        return out
+    if not nodes:
+        return []
+    return [r for cur in _ref_match(head, nodes[0], b) for r in _ref_match_seq(rest, nodes[1:], cur)]
+
+
+_ATOMS = st.sampled_from(["a", "x"])
+
+
+@st.composite
+def _elem_pair(draw, depth=1):
+    """A pattern element and the subject elements that it mostly matches: a
+    list metavariable stands for 0-3 elements, a nested tuple recurses."""
+    kind = draw(st.sampled_from(["atom", "X", "Y", "A..", "B..", "A..", "B.."] + ["tuple"] * (depth > 0)))
+    if kind == "atom":
+        ptext = draw(_ATOMS)
+        return ptext, [draw(st.sampled_from([ptext, ptext, "a", "x"]))]
+    if kind in ("X", "Y"):
+        return kind, [draw(st.sampled_from(["a", "x", "{a}"]))]
+    if kind == "tuple":
+        ps, ns = _seq_pair(draw, depth - 1)
+        return "{" + ", ".join(ps) + "}", ["{" + ", ".join(ns) + "}"]
+    return kind, draw(st.lists(_ATOMS, max_size=3))
+
+
+def _seq_pair(draw, depth=1):
+    pairs = draw(st.lists(_elem_pair(depth), max_size=5))
+    return [p for p, _ in pairs], [n for _, ns in pairs for n in ns]
+
+
+@st.composite
+def _cases(draw):
+    ps, ns = _seq_pair(draw)
+    shape = draw(st.sampled_from(["{%s}", "[%s]", "[%s | T]", "f(%s)"]))
+    ptext = shape % ", ".join(ps) if ps or shape != "[%s | T]" else "T"
+    tail = ""
+    if shape == "[%s | T]":
+        ns += draw(st.lists(_ATOMS, max_size=2))
+        tail = draw(st.sampled_from(["", " | Z"]))
+        shape = "[%s]"
+    ntext = shape % (", ".join(ns) + tail) if ns or not tail else "Z"
+    seed = draw(st.sampled_from([None, None, "A=", "A=a", "A=a,x", "B=x", "X=a", "A=x;B="]))
+    return ptext, ntext, seed
+
+
+def _seed(spec):
+    """Bindings from "A=a,x;B=": list metavariables, and X bound to one node."""
+    if spec is None:
+        return Bindings()
+    b = {}
+    for part in spec.split(";"):
+        name, _, vals = part.partition("=")
+        b[name] = code(vals) if name == "X" else [code(v) for v in vals.split(",") if v]
+    return Bindings(b)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_cases())
+@example(("{A.., A..}", "{a, x, a, x}", None))
+@example(("{A.., x, A..}", "{a, x, x, a, x}", None))
+@example(("{A.., X, B..}", "{a, x, a, x}", None))
+@example(("{A.., X, B..}", "{a, x, a, x}", "A=a,x"))
+@example(("{A.., B.., A..}", "{a, x, a, a}", "B=x"))
+@example(("[A.., B.. | T]", "[a, x, a]", None))
+@example(("[A.., B.. | T]", "[a, x | Z]", "A=a"))
+@example(("[X, A.. | T]", "[a, x, a]", None))
+@example(("[X, A.. | T]", "[a, x, a]", "A=x"))
+@example(("f({A.., B..}, C..)", "f({a, x}, a, x)", None))
+def test_bounded_splits_agree_with_the_reference(case):
+    ptext, ntext, seed = case
+    p, n = pat(ptext), code(ntext)
+    assert match(p, n, _seed(seed)) == _ref_match(p, n, _seed(seed))
