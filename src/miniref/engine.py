@@ -178,16 +178,22 @@ class Engine:
                 out.append(nb)
         return out
 
-    def apply_rule_at(self, step: RuleStep, target: t.Node, ctx: ExecContext) -> t.Node:
-        candidates = match(step.matching, target, ctx.bindings)
-        survivors = self._admitted(step, target, candidates)
-        where = type(target).__name__
-        if not candidates:
-            raise RefacFail(f"pattern does not match {where}")
-        if not survivors:
-            raise RefacFail(
-                f"pattern matches {len(candidates)} ways at {where}, the condition rejects all"
-            )
+    def apply_rule_at(
+        self, step: RuleStep, target: t.Node, ctx: ExecContext,
+        survivors: list[Bindings] | None = None,
+    ) -> t.Node:
+        """Rewrite `target` by `step`; `survivors`, when given, are the step's
+        surviving matches at `target`, already computed by the caller."""
+        if survivors is None:
+            candidates = match(step.matching, target, ctx.bindings)
+            where = type(target).__name__
+            if not candidates:
+                raise RefacFail(f"pattern does not match {where}")
+            survivors = self._admitted(step, target, candidates)
+            if not survivors:
+                raise RefacFail(
+                    f"pattern matches {len(candidates)} ways at {where}, the condition rejects all"
+                )
         if len(survivors) > 1:
             raise RefacFail(f"ambiguous match: {len(survivors)} solutions survive the conditions")
         b = survivors[0]
@@ -240,8 +246,9 @@ class Engine:
             for node in targets:
                 if node.nid not in self.graph.objects:
                     continue  # consumed by an earlier rewrite
-                if len(self._survivors(step, node, ctx.bindings)) == 1:
-                    applied = self.apply_rule_at(step, node, ctx)
+                survivors = self._survivors(step, node, ctx.bindings)
+                if len(survivors) == 1:
+                    applied = self.apply_rule_at(step, node, ctx, survivors)
             if applied is None:
                 raise RefacFail("rule applies nowhere in the subtree")
             return applied

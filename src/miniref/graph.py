@@ -4,12 +4,18 @@ The graph indexes every syntactic node by id and adds semantic nodes for
 modules, functions and variables, together with reference, defines and
 dataflow edges.
 
-Maintenance is proportional to the edit.  The node indexes (`objects`,
-`parents`, `node_module`) are updated for the removed and inserted subtrees
-only.  The semantic indexes (everything `rebuild()` derives: scopes,
-variables, dataflow, functions, references, purity, ordering) are dropped by
-an edit and recomputed, all at once by `rebuild()`, on the first read after
-it.
+Maintenance is per function form and proportional to the edit.  The node
+indexes (`objects`, `parents`, `node_module`) are walked once, at
+construction; afterwards each edit, and each rollback step, updates them
+for the subtrees it removes and inserts.  The semantic facts of a form
+(scopes, variables, flow edges, the variable names it uses and its call
+sites) come from one traversal of that form, `_analyze_form`.  An edit marks
+the form it touches as dirty; the first read of a semantic index after it
+runs `rebuild()`, which re-analyses the dirty forms only and then
+re-assembles the module-level indexes (functions, references, opaque uses,
+purity) from the per-form facts.  A refresh therefore costs the touched
+forms plus O(forms + call sites).  A fresh graph is a refresh in which every
+form is dirty.
 
 Mutation happens only inside transactions.  Every mutation of the trees and
 of the pending source edits appends its old value to an undo log;
@@ -23,6 +29,7 @@ variable bound in only some case branches is unbound after the case.
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 from . import tree as t
@@ -64,104 +71,157 @@ class VarSem:
     occurrences: list[NodeRef] = field(default_factory=list)
 
 
-class _SemanticIndex:
-    """A semantic index of `SemanticGraph`, computed by `rebuild()`.
+class _FormFacts:
+    """What one analysis of a function form found.  A re-analysis replaces
+    the whole record; `nodes` and `vars` say which entries of the graph-wide
+    indexes it wrote, so that they can be dropped first."""
 
-    `rebuild()` stores the index as an instance attribute, which shadows this
-    (non-data) descriptor; an edit deletes the attribute, so the next read
-    lands here and runs `rebuild()` once for every index.
-    """
+    __slots__ = ("fn", "names", "sites", "nodes", "vars", "order")
+
+    def __init__(self, fn: FunctionSem):
+        self.fn = fn
+        self.names: set[str] = set()  # every variable name under the clauses
+        self.sites: list[tuple] = []  # (kind, call nid, callee key), pre-order
+        self.nodes: list[int] = []  # nids given a scope (and any other fact)
+        self.vars: list[VarSem] = []
+        self.order: dict[int, int] | None = None  # pre-order, for flow queries
+
+
+class _Analysed:
+    """A semantic index of `SemanticGraph`, kept in the attribute of the
+    same name with a leading underscore.  Reading it after an edit first runs
+    `rebuild()`, which brings every semantic index up to date at once."""
 
     def __set_name__(self, owner, name: str) -> None:
-        self.name = name
+        self.slot = "_" + name
 
     def __get__(self, graph, owner=None):
         if graph is None:
             return self
-        graph.rebuild()
-        return graph.__dict__[self.name]
+        if graph._stale:
+            graph.rebuild()
+        return graph.__dict__[self.slot]
 
 
 class SemanticGraph:
-    order = _SemanticIndex()
-    scope_in = _SemanticIndex()
-    var_of = _SemanticIndex()
-    unbound = _SemanticIndex()
-    flow_out = _SemanticIndex()
-    flow_in = _SemanticIndex()
-    functions = _SemanticIndex()
-    module_sems = _SemanticIndex()
-    opaque = _SemanticIndex()
-    sems = _SemanticIndex()
-    _fun_names = _SemanticIndex()
+    scope_in = _Analysed()  # nid -> scope chain of the names visible there
+    var_of = _Analysed()  # Var occurrence nid -> VarSem sid
+    unbound = _Analysed()
+    flow_out = _Analysed()
+    flow_in = _Analysed()
+    functions = _Analysed()
+    opaque = _Analysed()
+    sems = _Analysed()
 
     def __init__(self, modules: list[t.SourceModule]):
         self.modules = modules
         self.edits: dict[str, list[list]] = {m.name: [] for m in modules}
         self._pending: dict[int, list] = {}  # replacement root nid -> its edit
-        self._undo: list[tuple] = []  # (object, field/index/slice, old value)
+        self._undo: list[tuple] = []  # (object, field/index/slice, old value, tree owner)
         self._marks: list[int] = []  # undo-log length at each open txn_begin
         self._sem_ids: dict = {}
         self._detached: dict[int, t.Node] = {}
+        self.objects: dict[int, t.Node] = {}
+        self.parents: dict[int, int] = {}
+        self.node_module: dict[int, str] = {}
+        self._scope_in: dict[int, tuple] = {}
+        self._var_of: dict[int, int] = {}
+        self._unbound: set[int] = set()
+        self._flow_out: dict[int, list[int]] = {}
+        self._flow_in: dict[int, list[int]] = {}
+        self._functions: dict[tuple[str, str, int], FunctionSem] = {}
+        self._opaque: dict[str, list[int]] = {}
+        self._sems: dict[int, ModuleSem | FunctionSem | VarSem] = {}
+        self._facts: dict[int, _FormFacts] = {}  # form nid -> its facts
+        self._dirty: set[int] = set()  # forms whose facts an edit made stale
+        self._stale = True  # the module-level indexes need re-assembling
+        self.module_sems: dict[str, ModuleSem] = {}
+        for mod in modules:
+            self._index(mod, None, mod.name)
+            sem = ModuleSem(self._sem_id(("mod", mod.name)), mod.name)
+            self.module_sems[mod.name] = sem
+            self._sems[sem.sid] = sem
         self.rebuild()
 
     # -- indexing ------------------------------------------------------------
 
     def rebuild(self) -> None:
-        """Recompute every index from the module trees."""
-        self.objects: dict[int, t.Node] = {}
-        self.parents: dict[int, int] = {}
-        self.order: dict[int, int] = {}
-        self.node_module: dict[int, str] = {}
-        self.scope_in: dict[int, frozenset[str]] = {}
-        self.var_of: dict[int, int] = {}  # Var occurrence nid -> VarSem sid
-        self.unbound: set[int] = set()
-        self.flow_out: dict[int, list[int]] = {}
-        self.flow_in: dict[int, list[int]] = {}
-        self.functions: dict[tuple[str, str, int], FunctionSem] = {}
-        self.module_sems: dict[str, ModuleSem] = {}
-        self.opaque: dict[str, list[int]] = {m.name: [] for m in self.modules}
-        self.sems: dict[int, ModuleSem | FunctionSem | VarSem] = {}
-        self._fun_names: dict[tuple[str, str, int], set[str]] = {}
+        """Bring the semantic indexes up to date: re-analyse the dirty forms
+        (and any form not analysed yet), drop the facts of forms that left
+        the modules, then re-assemble the module-level indexes."""
+        forms = [f for mod in self.modules for f in mod.forms]
+        present = {f.nid for f in forms}
+        dirty = [f for f in forms if f.nid in self._dirty or f.nid not in self._facts]
+        for nid in [n for n in self._facts if n not in present] + [f.nid for f in dirty]:
+            facts = self._facts.pop(nid, None)
+            if facts is not None:
+                self._forget(facts)
+        for form in dirty:
+            self._facts[form.nid] = self._analyze_form(form)
+        self._dirty.clear()
+        self._assemble()
+        self._stale = False
 
-        counter = 0
+    def _forget(self, facts: _FormFacts) -> None:
+        for nid in facts.nodes:
+            self._scope_in.pop(nid, None)
+            self._var_of.pop(nid, None)
+            self._unbound.discard(nid)
+            self._flow_out.pop(nid, None)
+            self._flow_in.pop(nid, None)
+        for sem in facts.vars:
+            self._sems.pop(sem.sid, None)
+        self._sems.pop(facts.fn.sid, None)
+
+    def _assemble(self) -> None:
+        """Functions, references, opaque uses and purity, in O(forms + call
+        sites).  References come in module order: exports, then each form's
+        call sites in pre-order."""
+        functions: dict[tuple[str, str, int], FunctionSem] = {}
         for mod in self.modules:
-            seen: set[tuple[str, int]] = set()
-            self.module_sems[mod.name] = ModuleSem(self._sem_id(("mod", mod.name)), mod.name)
-            self.sems[self.module_sems[mod.name].sid] = self.module_sems[mod.name]
-            for node in t.walk(mod):
-                self.objects[node.nid] = node
-                self.node_module[node.nid] = mod.name
-                self.order[node.nid] = counter
-                counter += 1
-                for child in t.children(node):
-                    self.parents[child.nid] = node.nid
             for form in mod.forms:
-                key = (form.name, form.arity)
-                if key in seen:
+                fn = self._facts[form.nid].fn
+                key = (fn.module, fn.name, fn.arity)
+                if key in functions:
                     raise GraphError(
-                        f"duplicate definition of {form.name}/{form.arity} in module {mod.name}"
+                        f"duplicate definition of {fn.name}/{fn.arity} in module {mod.name}"
                     )
-                seen.add(key)
-                fkey = (mod.name, form.name, form.arity)
-                fn = FunctionSem(self._sem_id(("fun",) + fkey), mod.name, form.name, form.arity)
-                fn.form = form.nid
-                fn.clauses = [c.nid for c in form.clauses]
-                self.functions[fkey] = fn
-                self.sems[fn.sid] = fn
+                functions[key] = fn
+                self._sems[fn.sid] = fn  # here: forgetting a duplicate drops its sid
+                fn.refs = []
+        opaque: dict[str, list[int]] = {m.name: [] for m in self.modules}
+        impure: list[tuple[str, str, int]] = []
+        callers: dict[tuple[str, str, int], list] = defaultdict(list)
         for mod in self.modules:
+            for entry in mod.exports:
+                fn = functions.get((mod.name, entry.name, entry.arity))
+                if fn is not None:
+                    fn.refs.append(("export", entry.nid))
             for form in mod.forms:
-                self._analyze_form(mod, form)
-        self._collect_refs()
-        self._compute_purity()
-        for nid, obj in self._detached.items():
-            self.objects.setdefault(nid, obj)
-
-    def _invalidate(self) -> None:
-        """Drop the semantic indexes; the next read of one rebuilds them all."""
-        for name, attr in vars(SemanticGraph).items():
-            if isinstance(attr, _SemanticIndex):
-                self.__dict__.pop(name, None)
+                fn = self._facts[form.nid].fn
+                key = (fn.module, fn.name, fn.arity)
+                pure = True
+                for kind, nid, callee in self._facts[form.nid].sites:
+                    ref = _site_ref(kind, callee, functions)
+                    if ref is not None:
+                        functions[ref[1]].refs.append((ref[0], nid))
+                    elif kind == "opaque":
+                        opaque[mod.name].append(nid)
+                    dep = _site_purity(kind, callee, functions)
+                    if dep is False:
+                        pure = False
+                    elif dep is not True:
+                        callers[dep].append(key)
+                fn.pure = pure
+                if not pure:
+                    impure.append(key)
+        while impure:  # impurity flows from a callee to its callers
+            for key in callers.get(impure.pop(), ()):
+                if functions[key].pure:
+                    functions[key].pure = False
+                    impure.append(key)
+        self._functions = functions
+        self._opaque = opaque
 
     def _unindex(self, root: t.Node) -> None:
         for n in t.walk(root):
@@ -170,160 +230,53 @@ class SemanticGraph:
             if n.nid not in self._detached:
                 self.objects.pop(n.nid, None)
 
-    def _index(self, root: t.Node, parent: t.Node, module_name: str) -> None:
-        self.parents[root.nid] = parent.nid
-        for n in t.walk(root):
-            self.objects[n.nid] = n
-            self.node_module[n.nid] = module_name
-            for child in t.children(n):
-                self.parents[child.nid] = n.nid
+    def _index(self, root: t.Node, parent: t.Node | None, module_name: str) -> None:
+        if parent is not None:
+            self.parents[root.nid] = parent.nid
+        objects, parents, node_module = self.objects, self.parents, self.node_module
+        stack = [root]
+        while stack:
+            n = stack.pop()
+            objects[n.nid] = n
+            node_module[n.nid] = module_name
+            kids = t.children(n)
+            for child in kids:
+                parents[child.nid] = n.nid
+            stack.extend(kids)
 
     def _sem_id(self, key) -> int:
         if key not in self._sem_ids:
             self._sem_ids[key] = t.new_id()
         return self._sem_ids[key]
 
-    # -- scoping and dataflow ------------------------------------------------
+    def _form_of(self, ref: NodeRef) -> t.FunctionForm | None:
+        """The function form that holds node `ref` (or is it)."""
+        cur = ref
+        while cur is not None:
+            obj = self.objects.get(cur)
+            if isinstance(obj, t.FunctionForm):
+                return obj
+            cur = self.parents.get(cur)
+        return None
 
-    def _analyze_form(self, mod: t.SourceModule, form: t.FunctionForm) -> None:
-        fkey = (mod.name, form.name, form.arity)
-        all_names: set[str] = set()
+    # -- scoping, dataflow and call sites ------------------------------------
+
+    def _analyze_form(self, form: t.FunctionForm) -> _FormFacts:
+        """One traversal of `form` that writes its scopes, variables and flow
+        edges into the graph-wide indexes and returns the rest of its facts."""
+        module = self.node_module[form.nid]
+        fn = FunctionSem(
+            self._sem_id(("fun", module, form.name, form.arity)), module, form.name,
+            form.arity, form=form.nid, clauses=[c.nid for c in form.clauses],
+        )
+        facts = _FormFacts(fn)
+        visit = _FormVisit(self, facts)
         for clause in form.clauses:
-            env: dict[str, VarSem] = {}
+            env = _Env()
             for p in clause.patterns:
-                self._bind_pattern(p, env, fkey)
-            self._visit_seq(clause.body, env, fkey)
-            self._seq_flow(clause.body, None)
-            all_names.update(self._names_under(clause))
-        self._fun_names[fkey] = all_names
-
-    def _names_under(self, node: t.Node) -> set[str]:
-        return {n.name for n in t.walk(node) if isinstance(n, t.Var) and n.name != "_"}
-
-    def _var_sem(self, fkey, name: str, binder: t.Var | None, anchor: int) -> VarSem:
-        sid = self._sem_id(("var", fkey, name, anchor))
-        sem = self.sems.get(sid)
-        if sem is None:
-            sem = VarSem(sid, name)
-            self.sems[sid] = sem
-        return sem
-
-    def _bind_pattern(self, pat: t.Expr, env: dict[str, VarSem], fkey, fresh: bool = False) -> None:
-        self._record_scope(pat, env)
-        for n in t.walk(pat):
-            if isinstance(n, t.Var) and n.name != "_":
-                if n.name in env and not fresh:
-                    sem = env[n.name]
-                    sem.occurrences.append(n.nid)
-                    self.var_of[n.nid] = sem.sid
-                else:
-                    sem = self._var_sem(fkey, n.name, n, n.nid)
-                    sem.binders.append(n.nid)
-                    self.var_of[n.nid] = sem.sid
-                    env[n.name] = sem
-
-    def _record_scope(self, node: t.Node, env: dict[str, VarSem]) -> None:
-        names = frozenset(env)
-        for n in t.walk(node):
-            self.scope_in.setdefault(n.nid, names)
-
-    def _visit_seq(self, exprs: list[t.Expr], env: dict[str, VarSem], fkey) -> None:
-        for e in exprs:
-            self._visit(e, env, fkey)
-
-    def _visit(self, e: t.Expr, env: dict[str, VarSem], fkey) -> None:
-        # a generic node's last child is visited in this same frame, so a
-        # long cons chain (the tail of a list literal) does not recurse
-        while True:
-            self.scope_in.setdefault(e.nid, frozenset(env))
-            if isinstance(e, t.Var):
-                if e.name == "_":
-                    return
-                if e.name in env:
-                    sem = env[e.name]
-                    sem.occurrences.append(e.nid)
-                    self.var_of[e.nid] = sem.sid
-                    for b in sem.binders:
-                        self._flow_edge(b, e.nid)
-                else:
-                    self.unbound.add(e.nid)
-                return
-            if isinstance(e, t.Match):
-                self._visit(e.expr, env, fkey)
-                self._bind_pattern(e.pattern, env, fkey)
-                self._flow_edge(e.expr.nid, e.pattern.nid)
-                return
-            if isinstance(e, t.Block):
-                self._visit_seq(e.exprs, env, fkey)
-                self._seq_flow(e.exprs, e)
-                return
-            if isinstance(e, t.Case):
-                self._visit(e.scrutinee, env, fkey)
-                branch_envs: list[dict[str, VarSem]] = []
-                for clause in e.clauses:
-                    benv = dict(env)
-                    self._bind_pattern(clause.patterns[0], benv, fkey)
-                    self._flow_edge(e.scrutinee.nid, clause.patterns[0].nid)
-                    self._visit_seq(clause.body, benv, fkey)
-                    self._seq_flow(clause.body, None)
-                    self._flow_edge(clause.body[-1].nid, e.nid)
-                    branch_envs.append(benv)
-                common = set.intersection(*(set(b) for b in branch_envs)) - set(env)
-                for name in sorted(common):
-                    merged = self._var_sem(fkey, name, None, e.nid)
-                    for benv in branch_envs:
-                        for b in benv[name].binders:
-                            if b not in merged.binders:
-                                merged.binders.append(b)
-                    env[name] = merged
-                return
-            if isinstance(e, t.Fun):
-                for clause in e.clauses:
-                    cenv = dict(env)
-                    for p in clause.patterns:
-                        self._bind_pattern(p, cenv, fkey, fresh=True)
-                    self._visit_seq(clause.body, cenv, fkey)
-                    self._seq_flow(clause.body, None)
-                return
-            if isinstance(e, t.ListComp):
-                lenv = dict(env)
-                for q in e.qualifiers:
-                    if isinstance(q, t.Generator):
-                        self._visit(q.source, lenv, fkey)
-                        self._bind_pattern(q.pattern, lenv, fkey)
-                    else:
-                        self._visit(q.expr, lenv, fkey)
-                self._visit(e.head, lenv, fkey)
-                return
-            kids = t.children(e)
-            last = kids.pop() if kids and isinstance(kids[-1], t.Expr) else None
-            for child in kids:
-                if isinstance(child, t.Expr):
-                    self._visit(child, env, fkey)
-                else:
-                    self._visit_other(child, env, fkey)
-            if last is None:
-                return
-            e = last
-
-    def _visit_other(self, node: t.Node, env, fkey) -> None:
-        for child in t.children(node):
-            if isinstance(child, t.Expr):
-                self._visit(child, env, fkey)
-            else:
-                self._visit_other(child, env, fkey)
-
-    def _seq_flow(self, exprs: list[t.Expr], block: t.Block | None) -> None:
-        if block is not None and exprs:
-            self._flow_edge(exprs[-1].nid, block.nid)
-
-    def _flow_edge(self, src: int, dst: int) -> None:
-        self.flow_out.setdefault(src, [])
-        if dst not in self.flow_out[src]:
-            self.flow_out[src].append(dst)
-        self.flow_in.setdefault(dst, [])
-        if src not in self.flow_in[dst]:
-            self.flow_in[dst].append(src)
+                visit.bind_pattern(p, env)
+            visit.visit_seq(clause.body, env)
+        return facts
 
     # -- references and purity ----------------------------------------------
 
@@ -333,108 +286,6 @@ class SemanticGraph:
         if isinstance(node, (t.Cons, t.Nil)) and tail is None:
             return elems
         return None
-
-    def _collect_refs(self) -> None:
-        for mod in self.modules:
-            for entry in mod.exports:
-                fn = self.functions.get((mod.name, entry.name, entry.arity))
-                if fn is not None:
-                    fn.refs.append(("export", entry.nid))
-            for form in mod.forms:
-                for node in t.walk(form):
-                    self._classify_call(mod, node)
-            for fn in self.functions.values():
-                fn.refs.sort(key=lambda r: self.order.get(r[1], -1))
-
-    def _classify_call(self, mod: t.SourceModule, node: t.Node) -> None:
-        if isinstance(node, t.Call):
-            callee = node.callee
-            if isinstance(callee, t.Atom):
-                if callee.name == "apply" and len(node.args) == 2:
-                    target, arglist = node.args
-                    elems = self.literal_list(arglist)
-                    if isinstance(target, t.Atom) and elems is not None:
-                        fn = self.functions.get((mod.name, target.name, len(elems)))
-                        if fn is not None:
-                            fn.refs.append(("apply", node.nid))
-                            return
-                    if not isinstance(target, t.Atom):
-                        self.opaque[mod.name].append(node.nid)
-                        return
-                fn = self.functions.get((mod.name, callee.name, len(node.args)))
-                if fn is not None:
-                    fn.refs.append(("local", node.nid))
-            elif isinstance(callee, t.Var):
-                self.opaque[mod.name].append(node.nid)
-        elif isinstance(node, t.RemoteCall):
-            if (
-                isinstance(node.module, t.Atom)
-                and node.module.name == mod.name
-                and isinstance(node.name, t.Atom)
-            ):
-                fn = self.functions.get((mod.name, node.name.name, len(node.args)))
-                if fn is not None:
-                    fn.refs.append(("remote", node.nid))
-
-    def _compute_purity(self) -> None:
-        impure: set[tuple[str, str, int]] = set()
-        deps: dict[tuple[str, str, int], set[tuple[str, str, int]]] = {}
-        for key, fn in self.functions.items():
-            form = self.objects[fn.form]
-            d: set[tuple[str, str, int]] = set()
-            if not self._expr_calls_pure(form, fn.module, d):
-                impure.add(key)
-            deps[key] = d
-        changed = True
-        while changed:
-            changed = False
-            for key, d in deps.items():
-                if key not in impure and d & impure:
-                    impure.add(key)
-                    changed = True
-        for key, fn in self.functions.items():
-            fn.pure = key not in impure
-
-    def _expr_calls_pure(self, root: t.Node, module: str, deps: set) -> bool:
-        ok = True
-        for node in t.walk(root):
-            if isinstance(node, t.Call):
-                callee = node.callee
-                if isinstance(callee, t.Atom):
-                    key = (module, callee.name, len(node.args))
-                    if callee.name == "apply" and len(node.args) == 2:
-                        target, arglist = node.args
-                        elems = self.literal_list(arglist)
-                        if isinstance(target, t.Atom) and elems is not None:
-                            deps.add((module, target.name, len(elems)))
-                            if (module, target.name, len(elems)) not in self.functions and (
-                                target.name,
-                                len(elems),
-                            ) not in BUILTIN_PURE:
-                                ok = False
-                        else:
-                            ok = False
-                    elif key in self.functions:
-                        deps.add(key)
-                    elif (callee.name, len(node.args)) in BUILTIN_PURE:
-                        pass
-                    else:
-                        ok = False
-                elif isinstance(callee, t.Fun):
-                    pass  # literal fun application; body is walked anyway
-                else:
-                    ok = False
-            elif isinstance(node, t.RemoteCall):
-                if isinstance(node.module, t.Atom) and isinstance(node.name, t.Atom):
-                    if node.module.name == module:
-                        deps.add((module, node.name.name, len(node.args)))
-                    elif (node.module.name, node.name.name, len(node.args)) in REMOTE_PURE:
-                        pass
-                    else:
-                        ok = False
-                else:
-                    ok = False
-        return ok
 
     # -- queries -------------------------------------------------------------
 
@@ -457,13 +308,10 @@ class SemanticGraph:
         return None if pid is None else self.objects[pid]
 
     def enclosing_function(self, ref: NodeRef) -> FunctionSem | None:
-        cur = ref
-        while cur is not None:
-            obj = self.objects.get(cur)
-            if isinstance(obj, t.FunctionForm):
-                return self.functions[(self.node_module[cur], obj.name, obj.arity)]
-            cur = self.parents.get(cur)
-        return None
+        form = self._form_of(ref)
+        if form is None:
+            return None
+        return self.functions[(self.node_module[form.nid], form.name, form.arity)]
 
     def lookup_at(self, module_name: str, line: int, col: int) -> NodeRef:
         mod = self.module(module_name)
@@ -491,30 +339,46 @@ class SemanticGraph:
         return list(fn.refs)
 
     def scope_names(self, ref: NodeRef) -> set[str]:
-        names = self.scope_in.get(ref)
-        if names is None:
-            return set()
-        return set(names)
+        names: set[str] = set()
+        scope = self.scope_in.get(ref, ())
+        while scope:
+            name, scope = scope
+            names.add(name)
+        return names
 
     def function_bound_names(self, ref: NodeRef) -> set[str]:
         fn = self.enclosing_function(ref)
         if fn is None:
             return set()
-        return set(self._fun_names.get((fn.module, fn.name, fn.arity), set()))
+        return set(self._facts[fn.form].names)
 
     def flow_forward(self, ref: NodeRef) -> list[NodeRef]:
-        seen: list[int] = []
-        stack = list(self.flow_out.get(ref, []))
-        while stack:
-            n = stack.pop(0)
+        flow_out = self.flow_out
+        seen: set[int] = set()
+        reached: list[int] = []
+        queue = deque(flow_out.get(ref, ()))
+        while queue:
+            n = queue.popleft()
             if n in seen:
                 continue
-            seen.append(n)
-            stack.extend(self.flow_out.get(n, []))
-        return sorted(seen, key=lambda n: self.order.get(n, 0))
+            seen.add(n)
+            reached.append(n)
+            queue.extend(flow_out.get(n, ()))
+        return self._in_source_order(ref, reached)
 
     def flow_sources(self, ref: NodeRef) -> list[NodeRef]:
-        return sorted(self.flow_in.get(ref, []), key=lambda n: self.order.get(n, 0))
+        return self._in_source_order(ref, self.flow_in.get(ref, []))
+
+    def _in_source_order(self, ref: NodeRef, nids: list[int]) -> list[NodeRef]:
+        """`nids`, which share `ref`'s form (flow never leaves a form), in
+        pre-order; the form's positions are numbered on the first query."""
+        if not nids:
+            return []
+        form = self._form_of(ref)
+        facts = self._facts[form.nid]
+        if facts.order is None:
+            facts.order = {n.nid: i for i, n in enumerate(t.walk(form))}
+        return sorted(nids, key=lambda n: facts.order.get(n, 0))
 
     def is_pure(self, ref: NodeRef) -> bool:
         node = self.node(ref)
@@ -524,10 +388,15 @@ class SemanticGraph:
         if module is None:
             # detached subtree: judge it against an empty module context
             module = self.modules[0].name if self.modules else ""
-        deps: set = set()
-        if not self._expr_calls_pure(node, module, deps):
-            return False
-        return all(k not in self.functions or self.functions[k].pure for k in deps)
+        functions = self.functions
+        for n in t.walk(node):
+            site = _call_site(n, module)
+            if site is not None:
+                dep = _site_purity(*site, functions)
+                if dep is False or (dep is not True and dep in functions
+                                    and not functions[dep].pure):
+                    return False
+        return True
 
     def opaque_uses(self, module_name: str) -> list[NodeRef]:
         return list(self.opaque.get(module_name, []))
@@ -555,28 +424,40 @@ class SemanticGraph:
             raise GraphError("rollback with no open transaction")
         mark = self._marks.pop()
         while len(self._undo) > mark:
-            obj, key, old = self._undo.pop()
-            if isinstance(obj, list):
+            obj, key, old, owner = self._undo.pop()
+            is_list = isinstance(obj, list)
+            if owner is not None:  # a tree position: re-index what it held
+                for n in _as_nodes(obj[key] if is_list else getattr(obj, key)):
+                    self._unindex(n)
+            if is_list:
                 obj[key] = old
             else:
                 setattr(obj, key, old)
+            if owner is not None:
+                module_name = self.node_module[owner.nid]
+                for n in _as_nodes(old):
+                    self._index(n, owner, module_name)
+                form = self._form_of(owner.nid)
+                if form is not None:
+                    self._dirty.add(form.nid)
+                self._stale = True
         self._pending = {
             r.nid: e for edits in self.edits.values() for e in edits for r in _roots(e[1])
         }
-        self.rebuild()
 
     def _assign(self, obj, key, value) -> None:
         """`obj[key] = value` (a setattr for a node), logged for rollback."""
         if isinstance(obj, list):
-            self._undo.append((obj, key, obj[key]))
+            self._undo.append((obj, key, obj[key], None))
             obj[key] = value
         else:
-            self._undo.append((obj, key, getattr(obj, key)))
+            self._undo.append((obj, key, getattr(obj, key), obj))
             setattr(obj, key, value)
 
-    def _splice(self, seq: list, i: int, j: int, items: list) -> None:
-        """`seq[i:j] = items`, logged for rollback."""
-        self._undo.append((seq, slice(i, i + len(items)), seq[i:j]))
+    def _splice(self, seq: list, i: int, j: int, items: list, owner: t.Node | None = None) -> None:
+        """`seq[i:j] = items`, logged for rollback; `owner` is the node whose
+        child list `seq` is, if it is one."""
+        self._undo.append((seq, slice(i, i + len(items)), seq[i:j], owner))
         seq[i:j] = items
 
     def _record_edit(self, module_name: str, span: tuple[int, int], replacement) -> None:
@@ -614,10 +495,17 @@ class SemanticGraph:
         # replacement may reuse existing subtrees), the in-place swap above is
         # the whole edit — recording a second, overlapping source edit would
         # double-apply it.  The nearest pending root among `old`'s ancestors
-        # tells.
-        cur = target
-        while cur is not None and cur not in self._pending:
+        # tells; the same walk up finds the form the edit touches.
+        cur, root, form = target, None, None
+        while cur is not None:
+            if root is None and cur in self._pending:
+                root = cur
+            obj = self.objects[cur]
+            if isinstance(obj, t.FunctionForm):
+                form = obj
+                break
             cur = self.parents.get(cur)
+        cur = root
         if cur == target:
             edit = self._pending.pop(target)
             for r in new_nodes:
@@ -632,7 +520,9 @@ class SemanticGraph:
         self._unindex(old)
         for n in new_nodes:
             self._index(n, parent, module_name)
-        self._invalidate()
+        if form is not None and form is not old:
+            self._dirty.add(form.nid)
+        self._stale = True
         return new_nodes[0].nid
 
     def _text_owner(self, node: t.Node, parent: t.Node) -> t.Node:
@@ -663,7 +553,7 @@ class SemanticGraph:
             if isinstance(v, list):
                 for i, item in enumerate(v):
                     if item is old:
-                        self._splice(v, i, i + 1, new_nodes)
+                        self._splice(v, i, i + 1, new_nodes, parent)
                         return
         raise GraphError("target not found under its parent")
 
@@ -675,12 +565,13 @@ class SemanticGraph:
         if not isinstance(anchor, t.FunctionForm):
             raise GraphError("insertion anchor must be a function form")
         idx = mod.forms.index(anchor)
-        self._splice(mod.forms, idx + 1, idx + 1, [form])
+        self._splice(mod.forms, idx + 1, idx + 1, [form], mod)
         if anchor.span is not None:
             pos = anchor.span[1]
             self._record_edit(module_name, (pos, pos), _FormInsertion(form))
         self._index(form, mod, module_name)
-        self._invalidate()
+        self._dirty.add(form.nid)
+        self._stale = True
         return form.nid
 
     # -- output --------------------------------------------------------------
@@ -711,11 +602,275 @@ class SemanticGraph:
         return "\n".join(lines)
 
 
+_UNBOUND = object()
+
+
+class _Env:
+    """The variables in scope while a clause is visited.
+
+    Case branches, fun clauses and comprehensions bind into the same dict and
+    undo their bindings when they end.  `scope` holds the names in scope as a
+    chain `(name, rest)`, one link per name bound, so the nodes visited
+    between two bindings share one scope object."""
+
+    __slots__ = ("vars", "scope", "trail")
+
+    def __init__(self):
+        self.vars: dict[str, VarSem] = {}
+        self.scope: tuple = ()
+        self.trail: list[tuple[str, object]] = []  # (name, what it shadowed)
+
+    def bind(self, name: str, sem: VarSem) -> None:
+        old = self.vars.get(name, _UNBOUND)
+        self.trail.append((name, old))
+        self.vars[name] = sem
+        if old is _UNBOUND:
+            self.scope = (name, self.scope)
+
+    def mark(self) -> tuple[int, tuple]:
+        return len(self.trail), self.scope
+
+    def added(self, mark: tuple[int, tuple]) -> dict[str, VarSem]:
+        """The names first bound since `mark`, with their variables."""
+        return {name: self.vars[name] for name, old in self.trail[mark[0]:] if old is _UNBOUND}
+
+    def undo(self, mark: tuple[int, tuple]) -> None:
+        n, self.scope = mark
+        while len(self.trail) > n:
+            name, old = self.trail.pop()
+            if old is _UNBOUND:
+                del self.vars[name]
+            else:
+                self.vars[name] = old
+
+
+class _FormVisit:
+    """The traversal behind `SemanticGraph._analyze_form`."""
+
+    def __init__(self, graph: SemanticGraph, facts: _FormFacts):
+        self.graph = graph
+        self.facts = facts
+        self.fkey = (facts.fn.module, facts.fn.name, facts.fn.arity)
+        self.scope_in = graph._scope_in
+        self.var_of = graph._var_of
+        self.edges: set[tuple[int, int]] = set()
+
+    def note(self, node: t.Node, scope: tuple) -> None:
+        """Record the scope at `node` (the first one seen) and its call site."""
+        if node.nid not in self.scope_in:
+            self.scope_in[node.nid] = scope
+            self.facts.nodes.append(node.nid)
+        if isinstance(node, (t.Call, t.RemoteCall)):
+            site = _call_site(node, self.facts.fn.module)
+            if site is not None:
+                self.facts.sites.append((site[0], node.nid, site[1]))
+
+    def var_sem(self, name: str, anchor: int) -> VarSem:
+        sid = self.graph._sem_id(("var", self.fkey, name, anchor))
+        sem = self.graph._sems.get(sid)
+        if sem is None:
+            sem = VarSem(sid, name)
+            self.graph._sems[sid] = sem
+            self.facts.vars.append(sem)
+        return sem
+
+    def bind_pattern(self, pat: t.Expr, env: _Env, fresh: bool = False) -> None:
+        scope = env.scope  # the whole pattern sees the names bound before it
+        for n in t.walk(pat):
+            self.note(n, scope)
+            if isinstance(n, t.Var) and n.name != "_":
+                self.facts.names.add(n.name)
+                if n.name in env.vars and not fresh:
+                    sem = env.vars[n.name]
+                    sem.occurrences.append(n.nid)
+                else:
+                    sem = self.var_sem(n.name, n.nid)
+                    sem.binders.append(n.nid)
+                    env.bind(n.name, sem)
+                self.var_of[n.nid] = sem.sid
+
+    def pattern_first(self, start: int, mid: int) -> None:
+        """Move the call sites found since `mid` (in a pattern, or a
+        comprehension head) before those found between `start` and `mid`:
+        the source has them first, and references are kept in source order."""
+        sites = self.facts.sites
+        if start < mid < len(sites):
+            sites[start:] = sites[mid:] + sites[start:mid]
+
+    def visit_seq(self, exprs: list[t.Expr], env: _Env) -> None:
+        for e in exprs:
+            self.visit(e, env)
+
+    def visit(self, e: t.Expr, env: _Env) -> None:
+        # a generic node's last child is visited in this same frame, so a
+        # long cons chain (the tail of a list literal) does not recurse
+        sites = self.facts.sites
+        while True:
+            self.note(e, env.scope)
+            if isinstance(e, t.Var):
+                if e.name == "_":
+                    return
+                self.facts.names.add(e.name)
+                sem = env.vars.get(e.name)
+                if sem is None:
+                    self.graph._unbound.add(e.nid)
+                    return
+                sem.occurrences.append(e.nid)
+                self.var_of[e.nid] = sem.sid
+                for b in sem.binders:
+                    self.flow_edge(b, e.nid)
+                return
+            if isinstance(e, t.Match):
+                start = len(sites)
+                self.visit(e.expr, env)
+                mid = len(sites)
+                self.bind_pattern(e.pattern, env)
+                self.pattern_first(start, mid)
+                self.flow_edge(e.expr.nid, e.pattern.nid)
+                return
+            if isinstance(e, t.Block):
+                self.visit_seq(e.exprs, env)
+                if e.exprs:
+                    self.flow_edge(e.exprs[-1].nid, e.nid)
+                return
+            if isinstance(e, t.Case):
+                self.visit(e.scrutinee, env)
+                mark = env.mark()
+                added = []
+                for clause in e.clauses:
+                    self.bind_pattern(clause.patterns[0], env)
+                    self.flow_edge(e.scrutinee.nid, clause.patterns[0].nid)
+                    self.visit_seq(clause.body, env)
+                    self.flow_edge(clause.body[-1].nid, e.nid)
+                    added.append(env.added(mark))
+                    env.undo(mark)
+                common = set(added[0]).intersection(*added[1:]) if added else set()
+                for name in sorted(common):
+                    merged = self.var_sem(name, e.nid)
+                    for branch in added:
+                        for b in branch[name].binders:
+                            if b not in merged.binders:
+                                merged.binders.append(b)
+                    env.bind(name, merged)
+                return
+            if isinstance(e, t.Fun):
+                for clause in e.clauses:
+                    mark = env.mark()
+                    for p in clause.patterns:
+                        self.bind_pattern(p, env, fresh=True)
+                    self.visit_seq(clause.body, env)
+                    env.undo(mark)
+                return
+            if isinstance(e, t.ListComp):
+                mark = env.mark()
+                start = len(sites)
+                for q in e.qualifiers:
+                    if isinstance(q, t.Generator):
+                        at = len(sites)
+                        self.visit(q.source, env)
+                        mid = len(sites)
+                        self.bind_pattern(q.pattern, env)
+                        self.pattern_first(at, mid)
+                    else:
+                        self.visit(q.expr, env)
+                mid = len(sites)
+                self.visit(e.head, env)
+                self.pattern_first(start, mid)
+                env.undo(mark)
+                return
+            kids = t.children(e)
+            last = kids.pop() if kids and isinstance(kids[-1], t.Expr) else None
+            for child in kids:
+                if isinstance(child, t.Expr):
+                    self.visit(child, env)
+                else:
+                    self.visit_other(child, env)
+            if last is None:
+                return
+            e = last
+
+    def visit_other(self, node: t.Node, env: _Env) -> None:
+        for child in t.children(node):
+            if isinstance(child, t.Expr):
+                self.visit(child, env)
+            else:
+                self.visit_other(child, env)
+
+    def flow_edge(self, src: int, dst: int) -> None:
+        if (src, dst) not in self.edges:
+            self.edges.add((src, dst))
+            self.graph._flow_out.setdefault(src, []).append(dst)
+            self.graph._flow_in.setdefault(dst, []).append(src)
+
+
+def _call_site(node: t.Node, module: str) -> tuple[str, tuple | None] | None:
+    """How a call refers to functions, as `(kind, callee key)`; None for a
+    node that is not a call, or a call that is pure whatever the module
+    defines (a literal fun, a whitelisted remote function).  The kinds:
+
+    - `local`: `name(..)`;
+    - `apply`: `apply(name, [..])` with a literal argument list;
+    - `apply_any`: `apply(name, Args)` with any other argument;
+    - `remote`: `m:name(..)` inside module `m`;
+    - `opaque`: a call of a function value;
+    - `impure`: any other call."""
+    if isinstance(node, t.Call):
+        callee = node.callee
+        if isinstance(callee, t.Atom):
+            if callee.name == "apply" and len(node.args) == 2:
+                target, arglist = node.args
+                if not isinstance(target, t.Atom):
+                    return "opaque", None
+                elems = SemanticGraph.literal_list(arglist)
+                if elems is None:
+                    return "apply_any", (module, "apply", 2)
+                return "apply", (module, target.name, len(elems))
+            return "local", (module, callee.name, len(node.args))
+        if isinstance(callee, t.Var):
+            return "opaque", None
+        return None if isinstance(callee, t.Fun) else ("impure", None)
+    if isinstance(node, t.RemoteCall):
+        if isinstance(node.module, t.Atom) and isinstance(node.name, t.Atom):
+            key = (node.module.name, node.name.name, len(node.args))
+            if node.module.name == module:
+                return "remote", key
+            if key in REMOTE_PURE:
+                return None
+        return "impure", None
+    return None
+
+
+def _site_ref(kind: str, key, functions: dict) -> tuple[str, tuple] | None:
+    """The reference a call site makes, as `(ref kind, function key)`.  An
+    `apply` of a function the module lacks is a call of a local `apply/2`."""
+    if kind == "apply":
+        if key in functions:
+            return "apply", key
+        kind, key = "apply_any", (key[0], "apply", 2)
+    if kind in ("local", "remote", "apply_any") and key in functions:
+        return ("remote" if kind == "remote" else "local"), key
+    return None
+
+
+def _site_purity(kind: str, key, functions: dict):
+    """True or False when the call is pure or impure by itself, else the key
+    of the module function whose purity it has."""
+    if kind in ("local", "apply"):
+        return key if key in functions else key[1:] in BUILTIN_PURE
+    if kind == "remote":
+        return key  # a function the module lacks does not make it impure
+    return False
+
+
 class _FormInsertion:
     """Lazy splice payload: renders a newly inserted form when printing."""
 
     def __init__(self, form: t.FunctionForm):
         self.form = form
+
+
+def _as_nodes(value) -> list[t.Node]:
+    return value if isinstance(value, list) else [value]
 
 
 def _roots(replacement) -> list[t.Node]:

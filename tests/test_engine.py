@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from miniref import tree as t
+from miniref import engine, tree as t
 from miniref.dsl import parse_refl
 from miniref.engine import Engine
 from miniref.graph import GraphError, build_graph
@@ -136,6 +136,26 @@ def test_rule_failure_names_the_stage_that_rejected_the_target(rule, reason):
     out = Engine(g, parse_refl("REFACTORING r()\n    " + rule)).run("r", at(g, 3, 5))
     assert not out.ok and out.reason == reason
     assert g.render("m") == src
+
+
+def test_in_modifier_matches_each_site_once(monkeypatch):
+    src = b"-module(m).\nf() ->\n    [{1}, {2}, {3}].\n"
+    g = build_graph([parse_module(src)])
+    eng = Engine(g, parse_refl("REFACTORING r()\nIN THIS\n    {X}\n    -----\n    [X]\n"))
+    target = at(g, 3, 5)
+    tuples = [n for n in t.walk(target) if isinstance(n, t.Tuple)]
+    seen = []
+    real_match = engine.match
+
+    def counting_match(pattern, node, seed):
+        seen.append(node)
+        return real_match(pattern, node, seed)
+
+    monkeypatch.setattr(engine, "match", counting_match)
+    assert eng.run("r", target).ok
+    assert g.render("m") == b"-module(m).\nf() ->\n    [[1], [2], [3]].\n"
+    assert [n for n in seen if isinstance(n, t.Tuple)] == tuples
+    assert len({id(n) for n in seen}) == len(seen)
 
 
 def test_or_combinator_takes_right_on_left_failure():

@@ -1,13 +1,17 @@
+import random
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from miniref import tree as t
 from miniref.dsl import parse_refl
 from miniref.engine import Engine
-from miniref.graph import GraphError, SemanticGraph, build_graph
+from miniref.graph import FunctionSem, GraphError, SemanticGraph, VarSem, build_graph
 from miniref.parser import parse_module
 from miniref.printer import print_expr
+from property_suites import _random_module_source, ground_term
 
 SRC = b"""-module(m).
 -export([f/1, g/0]).
@@ -273,9 +277,9 @@ def test_to_dot(g):
 
 
 def _assert_node_indexes_match_rebuild(g):
-    kept = (dict(g.objects), dict(g.parents), dict(g.node_module))
-    g.rebuild()
-    assert kept == (g.objects, g.parents, g.node_module)
+    fresh = SemanticGraph(g.modules)
+    assert (g.objects, g.parents, g.node_module) == (
+        fresh.objects, fresh.parents, fresh.node_module)
 
 
 def test_node_indexes_follow_every_edit(g):
@@ -367,3 +371,187 @@ def test_rename_rebuilds_do_not_grow_with_callers(monkeypatch):
         assert out.ok and gg.render("c").count(b"t2(Y, ") == n
         counts[n] = len(calls)
     assert counts[5] == counts[40]
+
+
+# -- semantic indexes against a fresh build ------------------------------------
+
+
+def _semantics(g):
+    """Every semantic index of `g`, with semantic ids replaced by what they
+    stand for, so that two graphs over the same trees compare equal."""
+    nodes = [n for m in g.modules for n in t.walk(m)]
+    classes = defaultdict(set)
+    for nid, sid in g.var_of.items():
+        classes[sid].add(nid)
+    variables = {
+        frozenset(members): (g.node(sid).name, tuple(g.node(sid).binders),
+                             tuple(g.node(sid).occurrences))
+        for sid, members in classes.items()
+    }
+    var_sems = sorted(
+        (s.name, tuple(s.binders), tuple(s.occurrences))
+        for s in g.sems.values() if isinstance(s, VarSem)
+    )
+    return {
+        "functions": [
+            (key, fn.form, fn.clauses, fn.refs, fn.pure) for key, fn in g.functions.items()
+        ],
+        "function sems": sorted(
+            (s.module, s.name, s.arity) for s in g.sems.values()
+            if isinstance(s, FunctionSem)
+        ),
+        "scopes": {n.nid: g.scope_names(n.nid) for n in nodes},
+        "variables": variables,
+        "var sems": var_sems,
+        "unbound": set(g.unbound),
+        "flow_out": dict(g.flow_out),
+        "flow_in": dict(g.flow_in),
+        "flow order": {nid: g.flow_forward(nid) for nid in g.flow_out},
+        "opaque": dict(g.opaque),
+        "bound names": {f.nid: g.function_bound_names(f.nid) for m in g.modules for f in m.forms},
+    }
+
+
+def _assert_semantics_match_fresh(g):
+    assert _semantics(g) == _semantics(SemanticGraph(g.modules))
+
+
+def test_semantic_indexes_follow_every_edit(g):
+    check = _assert_semantics_match_fresh
+    check(g)
+    g.txn_begin()
+    g.txn_replace(g.lookup_at("m", 5, 5), t.Var("Y2"))  # a binder
+    check(g)
+    call = _find(g, lambda n: isinstance(n, t.Call) and isinstance(n.callee, t.Atom))
+    g.txn_replace(call.nid, t.Call(t.Atom("h"), [t.Var("F")]))  # g now calls impure h
+    check(g)
+    assert not g.functions[("m", "g", 0)].pure
+    g.txn_begin()
+    form = parse_module(b"-module(x).\nk(A) -> B = A, f(B).\n").forms[0]
+    g.txn_insert_form("m", form, g.functions[("m", "f", 1)].form)
+    check(g)
+    match = form.clauses[0].body[0]
+    g.txn_replace(match.pattern.nid, t.Var("C"))  # B is now unbound
+    check(g)
+    g.txn_replace(form.clauses[0].nid, t.Clause("h", [t.Var("X")], [t.Var("X")]))
+    with pytest.raises(GraphError):  # two definitions of h/1
+        g.functions
+    g.txn_rollback()
+    check(g)
+    g.txn_begin()
+    entry = g.module("m").exports[0]
+    g.txn_replace(entry.nid, t.ExportEntry("h", 1))
+    check(g)
+    g.txn_commit()
+    check(g)
+    g.txn_rollback()
+    check(g)
+    assert g.render("m") == SRC
+
+
+def _edit_step(g, rng, depth: int) -> int:
+    """One random step inside `depth` open transactions: replace an
+    expression, insert a form, or open, commit or roll back an inner
+    transaction.  Returns the new depth."""
+    mod = g.module("p")
+    choice = rng.randrange(8)
+    if choice == 0:
+        g.txn_begin()
+        return depth + 1
+    if choice in (1, 2) and depth > 1:
+        g.txn_commit() if choice == 1 else g.txn_rollback()
+        return depth - 1
+    if choice == 3:
+        anchor = rng.choice(mod.forms)
+        taken = {f.name for f in mod.forms}
+        name = next(f"k{i}" for i in range(len(taken) + 1) if f"k{i}" not in taken)
+        form = parse_module(f"-module(x).\n{name}(A) -> B = A, f(B).\n".encode()).forms[0]
+        g.txn_insert_form("p", t.copy_fresh(form), anchor.nid)  # without spans, as the engine's
+    else:
+        sites = [n for n in t.walk(mod) if isinstance(n, t.Expr) and g.parent(n.nid) is not None]
+        target = rng.choice(sites)
+        new = rng.choice([
+            lambda: ground_term(rng),
+            lambda: t.Var(rng.choice(["X", "Y", "Z"])),
+            lambda: t.Match(t.Var(rng.choice(["Y", "Z"])), ground_term(rng)),
+            lambda: t.Call(t.Atom(rng.choice(["f", "g", "length"])), [t.Var("X")]),
+            lambda: t.RemoteCall(t.Atom(rng.choice(["p", "io"])), t.Atom("f"), [t.Integer(1)]),
+            lambda: t.Case(t.Var("X"), [t.Clause(None, [t.Var("Z")], [t.Var("Z")]),
+                                        t.Clause(None, [t.Atom("a")], [t.Var("Y")])]),
+        ])()
+        g.txn_replace(target.nid, new)
+    return depth
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 12))
+def test_semantic_indexes_match_a_fresh_build_after_random_edits(seed, steps):
+    rng = random.Random(seed)
+    g = SemanticGraph([parse_module(_random_module_source(rng))])
+    g.txn_begin()
+    depth = 1
+    for _ in range(steps):
+        depth = _edit_step(g, rng, depth)
+        _assert_semantics_match_fresh(g)
+    for _ in range(depth):
+        g.txn_rollback()
+    _assert_semantics_match_fresh(g)
+    assert g.render("p") == g.module("p").text
+
+
+# -- scaling guards (counts, not wall time) --------------------------------------
+
+
+def _rename_defs():
+    schemes = Path(__file__).resolve().parent.parent / "src/miniref/definitions/schemes.refl"
+    return parse_refl(schemes.read_text())
+
+
+def _large_module(filler: int) -> bytes:
+    """`target/2`, one caller, a `twin/2`, and `filler` unrelated functions."""
+    rest = "\n".join(f"u{i}(X) ->\n    [X | {i}].\n" for i in range(filler))
+    return _callers_source(1) + b"\ntwin(A, B) ->\n    {B, A}.\n\n" + rest.encode()
+
+
+def test_rename_reanalyses_only_the_forms_it_edits(monkeypatch):
+    gg = build_graph([parse_module(_large_module(300))])
+    analyze = SemanticGraph._analyze_form
+    analysed = []
+
+    def counting(self, form):
+        analysed.append(form.name)
+        return analyze(self, form)
+
+    monkeypatch.setattr(SemanticGraph, "_analyze_form", counting)
+    out = Engine(gg, _rename_defs()).run("rename_function", gg.functions[("c", "target", 2)], ["t2"])
+    assert out.ok and b"t2(Y, 0)" in gg.render("c")
+    assert len(gg.functions) == 303
+    assert sorted(analysed) == ["c0", "t2"]
+
+
+def test_rejected_rename_rebuilds_once_at_construction(monkeypatch):
+    rebuild = SemanticGraph.rebuild
+    calls = []
+
+    def counting(self):
+        calls.append(1)
+        rebuild(self)
+
+    monkeypatch.setattr(SemanticGraph, "rebuild", counting)
+    src = _large_module(3)
+    gg = build_graph([parse_module(src)])
+    out = Engine(gg, _rename_defs()).run("rename_function", gg.functions[("c", "target", 2)], ["twin"])
+    assert not out.ok and gg.render("c") == src
+    assert len(calls) == 1
+
+
+def test_scopes_are_shared_between_bindings():
+    n = 2000
+    body = ",\n".join(f"    X{i} = X{i - 1}" for i in range(1, n + 1))
+    gg = build_graph([parse_module(f"-module(s).\nf(X0) ->\n{body},\n    X{n}.\n".encode())])
+    bindings = n + 1  # the parameter and one match per line
+    assert len({id(scope) for scope in gg.scope_in.values()}) <= bindings + 1
+    last = gg.module("s").forms[0].clauses[0].body[-1]
+    assert gg.scope_names(last.nid) == {f"X{i}" for i in range(n + 1)}
+    first = gg.module("s").forms[0].clauses[0].patterns[0]
+    assert len(gg.flow_forward(first.nid)) == 2 * n + 1  # each occurrence, each binder
