@@ -2,8 +2,17 @@
 
 Everything runs inside transactions: a failing rule, combinator chain, scheme
 or composite rolls the graph back to a state that prints byte-identically to
-the pre-state.  Rule application demands exactly one surviving match
-candidate; ambiguity is failure, never an arbitrary pick.
+the pre-state.
+
+Every definition kind rewrites through the same two routines.
+`Engine._unique` returns the one match of a rule step at a site that its
+condition admits; no match, a condition that rejects every candidate and an
+ambiguous match are each a failure naming that stage, never an arbitrary
+pick.  `Engine._replace` makes every edit: a replacement sequence is spliced
+into a clause body or block and wrapped in a `Block` elsewhere, and no
+expression is put in a pattern position.  Bindings hold subtrees that other
+rewrites change, so a definition matches a site when it rewrites it, not in
+a plan made before the first edit.
 """
 
 from __future__ import annotations
@@ -90,22 +99,12 @@ class Engine:
     def lookup(self, name: str, nargs: int):
         return self.defs.get((name, nargs))
 
-    # -- entry point ----------------------------------------------------------
+    # -- invocation ----------------------------------------------------------------
 
     def run(self, name: str, target, args: list | None = None) -> RefOutcome:
-        args = list(args or [])
-        d = self.lookup(name, len(args))
-        if d is None and (name, len(args)) not in BUILTIN_REFACS:
-            return RefOutcome.failure(f"unknown refactoring {name}/{len(args)}")
-        ctx = ExecContext(self.graph, target)
-        if d is not None and not isinstance(d, SelectorDef):
-            for p, v in zip(d.params, args):
-                ctx.bindings = ctx.bindings.bind(p, v)
-                if ctx.bindings is None:
-                    return RefOutcome.failure("conflicting actual parameters")
         self.graph.txn_begin()
         try:
-            result = self._dispatch(d, name, ctx, args)
+            result = self._call(name, target, list(args or []))
         except RefacFail as e:
             self.graph.txn_rollback()
             return RefOutcome.failure(str(e))
@@ -115,22 +114,30 @@ class Engine:
         self.graph.txn_commit()
         return RefOutcome.success(result)
 
-    def _dispatch(self, d, name: str, ctx: ExecContext, args: list):
+    def _call(self, name: str, target, args: list):
+        """Run the definition, selector or builtin `name` at `target`, its
+        parameters bound to `args`."""
+        d = self.lookup(name, len(args))
+        if isinstance(d, SelectorDef):
+            return self.run_selector(d, self._as_node(target))
+        if d is None and (name, len(args)) not in BUILTIN_REFACS:
+            raise RefacFail(f"unknown refactoring {name}/{len(args)}")
+        ctx = ExecContext(self.graph, target)
+        for p, v in zip(d.params if d else [], args):
+            ctx.bindings = ctx.bindings.bind(p, v)
+            if ctx.bindings is None:
+                raise RefacFail("conflicting actual parameters")
         if d is None:
             return self.run_builtin(name, ctx, args)
         if isinstance(d, RuleDef):
             return self.run_combined(d, ctx)
-        if isinstance(d, SchemeDef):
-            if d.kind == "signature":
-                return self.run_signature_scheme(d, ctx)
-            if d.kind == "forward_dataflow":
-                return self.run_forward_dataflow(d, ctx)
-            return self.run_backward_dataflow(d, ctx)
         if isinstance(d, CompositeDef):
             return self.run_composite(d, ctx)
-        if isinstance(d, SelectorDef):
-            return self.run_selector(d, self._as_node(ctx.this))
-        raise RefacFail(f"cannot execute {type(d).__name__}")
+        if d.kind == "signature":
+            return self.run_signature_scheme(d, ctx)
+        if d.kind == "forward_dataflow":
+            return self.run_forward_dataflow(d, ctx)
+        return self.run_backward_dataflow(d, ctx)
 
     # -- targets ---------------------------------------------------------------
 
@@ -155,75 +162,56 @@ class Engine:
             return [n for root in nodes for n in t.walk(root)]
         return nodes
 
-    # -- single rule application ------------------------------------------------
+    # -- matching and replacing ----------------------------------------------------
 
-    def _survivors(self, step: RuleStep, node: t.Node, seed: Bindings) -> list[Bindings]:
-        """The matches of `step` at `node` that extend `seed` and satisfy the
-        step's condition, with the bindings the condition adds."""
-        return self._admitted(step, node, match(step.matching, node, seed))
+    def _unique(self, step: RuleStep, node: t.Node, seed: Bindings, role: str | None):
+        """The one match of `step` at `node` that extends `seed` and satisfies
+        the step's condition, with the bindings the condition adds.
 
-    def _admitted(self, step: RuleStep, node: t.Node, candidates: list[Bindings]) -> list[Bindings]:
-        """The `candidates` that satisfy the step's condition, extended with
-        the bindings the condition adds."""
-        out = []
+        Without exactly one, this fails with the stage that rejected `node`,
+        prefixed by `role`; a `role` of None asks only whether the step
+        applies, and gets None."""
+        candidates = match(step.matching, node, seed)
+        survivors = []
         for cand in candidates:
             if step.condition is None:
-                out.append(cand)
+                survivors.append(cand)
                 continue
             try:
                 ok, nb = eval_condition(step.condition, cand, self.graph, node)
             except SemError as e:
                 raise RefacFail(str(e)) from None
             if ok:
-                out.append(nb)
-        return out
-
-    def apply_rule_at(
-        self, step: RuleStep, target: t.Node, ctx: ExecContext,
-        survivors: list[Bindings] | None = None,
-    ) -> t.Node:
-        """Rewrite `target` by `step`; `survivors`, when given, are the step's
-        surviving matches at `target`, already computed by the caller."""
-        if survivors is None:
-            candidates = match(step.matching, target, ctx.bindings)
-            where = type(target).__name__
-            if not candidates:
-                raise RefacFail(f"pattern does not match {where}")
-            survivors = self._admitted(step, target, candidates)
-            if not survivors:
-                raise RefacFail(
-                    f"pattern matches {len(candidates)} ways at {where}, the condition rejects all"
-                )
-        if len(survivors) > 1:
-            raise RefacFail(f"ambiguous match: {len(survivors)} solutions survive the conditions")
-        b = survivors[0]
-        replacement = _instantiate(step.replacement, b)
-        if isinstance(step.matching, t.ClausePat):
-            if len(replacement) != 1 or not isinstance(replacement[0], t.Clause):
-                raise RefacFail("clause rule must produce a clause")
-            new = replacement[0]
-        elif len(replacement) == 1:
-            new = replacement[0]
+                survivors.append(nb)
+        if len(survivors) == 1:
+            return survivors[0]
+        if role is None:
+            return None
+        where = type(node).__name__
+        if not candidates:
+            why = f"pattern does not match {where}"
+        elif not survivors:
+            why = f"pattern matches {len(candidates)} ways at {where}, the condition rejects all"
         else:
-            parent = self.graph.parent(target.nid)
-            in_seq = isinstance(parent, (t.Clause, t.Block)) and any(
-                x is target for x in getattr(parent, "body", getattr(parent, "exprs", []))
-            )
-            new = replacement if in_seq else t.Block(replacement)
-        if self._in_pattern(target) and not (isinstance(new, t.Node) and t.is_pattern(new)):
+            why = f"ambiguous match: {len(survivors)} solutions survive the conditions"
+        raise RefacFail(role + why)
+
+    def _replace(self, site: t.Node, out) -> t.Node:
+        """Replace `site` by `out`, a node or an instantiated sequence, and
+        return the new node.  A sequence of one element is that node; a
+        longer one is spliced into a clause body or block, and wrapped in a
+        `Block` anywhere else."""
+        if isinstance(out, list):
+            if len(out) == 1:
+                out = out[0]
+            else:
+                parent = self.graph.parent(site.nid)
+                seq = getattr(parent, "body", getattr(parent, "exprs", None))
+                if not (isinstance(parent, (t.Clause, t.Block)) and any(x is site for x in seq)):
+                    out = t.Block(out)
+        if self._in_pattern(site) and not (isinstance(out, t.Node) and t.is_pattern(out)):
             raise RefacFail("the rewrite would put an expression in a pattern position")
-        new_ref = self.graph.txn_replace(target.nid, new)
-        # commit condition-established bindings to the definition-wide scope
-        for name in dsl._cond_bound(step.condition):
-            if name in b:
-                nb = ctx.bindings.bind(name, b[name])
-                if nb is None:
-                    raise RefacFail(f"metavariable {name} bound inconsistently across targets")
-                ctx.bindings = nb
-        result = self.graph.node(new_ref)
-        if isinstance(ctx.this, t.Node) and ctx.this is target:
-            ctx.this = result
-        return result
+        return self.graph.node(self.graph.txn_replace(site.nid, out))
 
     def _in_pattern(self, node: t.Node) -> bool:
         """`node` lies under a match, clause or generator pattern."""
@@ -236,19 +224,36 @@ class Engine:
             node, parent = parent, self.graph.parent(parent.nid)
         return False
 
-    def _attempt_step(
-        self, step: RuleStep, ctx: ExecContext, targets: list[t.Node] | None = None
-    ) -> t.Node:
-        if targets is None:
-            targets = self.resolve_targets(step.modifier, ctx)
+    # -- rules -------------------------------------------------------------------------
+
+    def apply_rule_at(self, step: RuleStep, target: t.Node, ctx: ExecContext, b: Bindings) -> t.Node:
+        """Rewrite `target` by `step`, whose one surviving match there is `b`."""
+        replacement = _instantiate(step.replacement, b)
+        if isinstance(step.matching, t.ClausePat) and not (
+            len(replacement) == 1 and isinstance(replacement[0], t.Clause)
+        ):
+            raise RefacFail("clause rule must produce a clause")
+        result = self._replace(target, replacement)
+        # commit condition-established bindings to the definition-wide scope
+        for name in dsl._cond_bound(step.condition):
+            if name in b:
+                nb = ctx.bindings.bind(name, b[name])
+                if nb is None:
+                    raise RefacFail(f"metavariable {name} bound inconsistently across targets")
+                ctx.bindings = nb
+        if isinstance(ctx.this, t.Node) and ctx.this is target:
+            ctx.this = result
+        return result
+
+    def _attempt_step(self, step: RuleStep, ctx: ExecContext, targets: list[t.Node]) -> t.Node:
         if step.modifier and step.modifier[0] == "IN":
             applied = None
             for node in targets:
                 if node.nid not in self.graph.objects:
                     continue  # consumed by an earlier rewrite
-                survivors = self._survivors(step, node, ctx.bindings)
-                if len(survivors) == 1:
-                    applied = self.apply_rule_at(step, node, ctx, survivors)
+                b = self._unique(step, node, ctx.bindings, None)
+                if b is not None:
+                    applied = self.apply_rule_at(step, node, ctx, b)
             if applied is None:
                 raise RefacFail("rule applies nowhere in the subtree")
             return applied
@@ -256,7 +261,7 @@ class Engine:
             raise RefacFail("modifier selected no targets")
         result = None
         for node in targets:
-            result = self.apply_rule_at(step, node, ctx)
+            result = self.apply_rule_at(step, node, ctx, self._unique(step, node, ctx.bindings, ""))
         return result
 
     def run_combined(self, d: RuleDef, ctx: ExecContext) -> t.Node:
@@ -334,49 +339,41 @@ class Engine:
         module = fn.module
         if self.graph.opaque_uses(module):
             raise RefacFail("opaque use of a function value in the module")
-        step = d.rule
         refs = [(kind, self.graph.node(ref)) for kind, ref in fn.refs]
         clauses = [self.graph.node(c) for c in fn.clauses]
-        old_key = (module, fn.name, fn.arity)
+
+        def rewrite(call: t.Call) -> t.Call:
+            # the contract makes the replacement a single application
+            b = self._unique(d.rule, call, ctx.bindings, "signature rule: ")
+            return _instantiate(d.rule.replacement, b)[0]
 
         # determine the new signature from a probe instantiation
-        probe = t.Call(t.Atom(fn.name), [t.Var(f"A{i}") for i in range(fn.arity)])
-        new_call = self._rewrite_call(step, probe, ctx)
-        new_name, new_arity = _callee_name(new_call), len(new_call.args)
-        if (module, new_name, new_arity) in self.graph.functions and (
-            module,
-            new_name,
-            new_arity,
-        ) != old_key:
+        probe = rewrite(t.Call(t.Atom(fn.name), [t.Var(f"A{i}") for i in range(fn.arity)]))
+        new_name, new_arity = _callee_name(probe), len(probe.args)
+        new_key = (module, new_name, new_arity)
+        if new_key in self.graph.functions and new_key != (module, fn.name, fn.arity):
             raise RefacFail(f"function {new_name}/{new_arity} already exists in {module}")
 
         for clause in clauses:
-            synth = t.Call(t.Atom(clause.name), clause.patterns)
-            rewritten = self._rewrite_call(step, synth, ctx)
-            new_clause = t.Clause(_callee_name(rewritten), rewritten.args, clause.body)
-            self.graph.txn_replace(clause.nid, new_clause)
-        for kind, site in refs:
+            out = rewrite(t.Call(t.Atom(clause.name), clause.patterns))
+            self._replace(clause, t.Clause(_callee_name(out), out.args, clause.body))
+        # last site first: a call nested in another's arguments is rewritten
+        # before the enclosing call copies it
+        for kind, site in reversed(refs):
             if kind == "export":
-                self.graph.txn_replace(site.nid, t.ExportEntry(new_name, new_arity))
+                self._replace(site, t.ExportEntry(new_name, new_arity))
             elif kind == "local":
-                self.graph.txn_replace(site.nid, self._rewrite_call(step, site, ctx))
+                self._replace(site, rewrite(site))
             elif kind == "remote":
-                synth = t.Call(t.Atom(site.name.name), site.args)
-                out = self._rewrite_call(step, synth, ctx)
-                self.graph.txn_replace(
-                    site.nid,
-                    t.RemoteCall(t.copy_fresh(site.module), t.Atom(_callee_name(out)), out.args),
-                )
+                out = rewrite(t.Call(t.Atom(site.name.name), site.args))
+                new = t.RemoteCall(t.copy_fresh(site.module), t.Atom(_callee_name(out)), out.args)
+                self._replace(site, new)
             elif kind == "apply":
                 fun_atom, arglist = site.args
-                elems = self.graph.literal_list(arglist)
-                synth = t.Call(t.Atom(fun_atom.name), elems)
-                out = self._rewrite_call(step, synth, ctx)
-                new_site = t.Call(
-                    t.Atom("apply"), [t.Atom(_callee_name(out)), t.mklist(out.args)]
-                )
-                self.graph.txn_replace(site.nid, new_site)
-        new_fn = self.graph.functions.get((module, new_name, new_arity))
+                out = rewrite(t.Call(t.Atom(fun_atom.name), self.graph.literal_list(arglist)))
+                new = t.Call(t.Atom("apply"), [t.Atom(_callee_name(out)), t.mklist(out.args)])
+                self._replace(site, new)
+        new_fn = self.graph.functions.get(new_key)
         if new_fn is None:
             raise RefacFail("signature rewrite left no such function")
         if isinstance(ctx.this, FunctionSem):
@@ -397,24 +394,11 @@ class Engine:
             raise RefacFail("target is not inside a function")
         return fn
 
-    def _rewrite_call(self, step: RuleStep, call: t.Call, ctx: ExecContext) -> t.Call:
-        survivors = self._survivors(step, call, ctx.bindings)
-        if len(survivors) != 1:
-            raise RefacFail("signature rule must match each site exactly once")
-        out = _instantiate(step.replacement, survivors[0])
-        new = out[0] if isinstance(out, list) else out
-        if not isinstance(new, t.Call):
-            raise RefacFail("signature rule must produce an application")
-        return new
-
     # -- dataflow schemes ----------------------------------------------------------
 
     def run_forward_dataflow(self, d: SchemeDef, ctx: ExecContext) -> t.Node:
         target = self._as_node(ctx.this)
-        survivors = self._survivors(d.definition, target, ctx.bindings)
-        if len(survivors) != 1:
-            raise RefacFail("definition rule must match the target exactly once")
-        def_b = survivors[0]
+        def_b = self._unique(d.definition, target, ctx.bindings, "definition rule: ")
         flow = self.graph.flow_forward(target.nid)
         path = set(flow) | {target.nid}
         for nid in flow:
@@ -431,11 +415,8 @@ class Engine:
                 raise RefacFail("a reference site is not covered by any reference rule")
             rewrites.append(found)
         for site, step, b in rewrites:
-            out = _instantiate(step.replacement, b)
-            self.graph.txn_replace(site.nid, out[0] if len(out) == 1 else t.Block(out))
-        repl = _instantiate(d.definition.replacement, def_b)
-        new_ref = self.graph.txn_replace(target.nid, repl[0] if len(repl) == 1 else repl)
-        ctx.this = self.graph.node(new_ref)
+            self._replace(site, _instantiate(step.replacement, b))
+        ctx.this = self._replace(target, _instantiate(d.definition.replacement, def_b))
         return ctx.this
 
     def _is_passthrough(self, node: t.Node) -> bool:
@@ -456,9 +437,9 @@ class Engine:
                 seeded = seed.bind(refvar, anc if anc is node else node)
                 if seeded is None:
                     continue
-                survivors = self._survivors(step, anc, seeded)
-                if len(survivors) == 1:
-                    return (anc, step, survivors[0])
+                b = self._unique(step, anc, seeded, None)
+                if b is not None:
+                    return (anc, step, b)
             parent = self.graph.parent(anc.nid)
             anc = parent if isinstance(parent, t.Node) else None
         return None
@@ -470,9 +451,9 @@ class Engine:
             seeded = ctx.bindings.bind(refvar, target)
             if seeded is None:
                 continue
-            survivors = self._survivors(step, target, seeded)
-            if len(survivors) == 1:
-                ref_match = (refvar, step, survivors[0])
+            b = self._unique(step, target, seeded, None)
+            if b is not None:
+                ref_match = (refvar, step, b)
                 break
         if ref_match is None:
             raise RefacFail("no reference rule matches the target exactly once")
@@ -486,17 +467,14 @@ class Engine:
                 raise RefacFail("a data source flows somewhere besides the target")
         # metavariables bound by the definition matching but unused in its
         # replacement are global: they must unify across all sources
-        global_names = _pattern_names(d.definition.matching) - _pattern_names(
+        global_names = dsl._pattern_metavars(d.definition.matching) - dsl._pattern_metavars(
             d.definition.replacement
         )
         shared = ref_b
         per_source: list[tuple[t.Node, Bindings]] = []
         for src in sources:
             node = self.graph.node(src)
-            survivors = self._survivors(d.definition, node, shared)
-            if len(survivors) != 1:
-                raise RefacFail("definition rule must match each data source exactly once")
-            b = survivors[0]
+            b = self._unique(d.definition, node, shared, "definition rule: ")
             for name in global_names:
                 if name in b:
                     shared = shared.bind(name, b[name])
@@ -516,13 +494,14 @@ class Engine:
                     raise RefacFail(
                         "moved expression references names bound inside the target"
                     )
+        # a binder is no value to hoist out of: `Y = [X | Xs]` must not
+        # become `[Y | Xs] = X`
+        if any(self._in_pattern(n) for n in [target] + [n for n, _ in per_source]):
+            raise RefacFail("the target or a data source lies in a pattern position")
         for node, b in per_source:
-            out = _instantiate(d.definition.replacement, b.merge(shared) or b)
-            self.graph.txn_replace(node.nid, out[0] if len(out) == 1 else t.Block(out))
+            self._replace(node, _instantiate(d.definition.replacement, b.merge(shared) or b))
         final_b = shared.bind(refvar, self.graph.node(target.nid))
-        out = _instantiate(ref_step.replacement, final_b)
-        new_ref = self.graph.txn_replace(target.nid, out[0] if len(out) == 1 else t.Block(out))
-        ctx.this = self.graph.node(new_ref)
+        ctx.this = self._replace(target, _instantiate(ref_step.replacement, final_b))
         return ctx.this
 
     # -- composites and selectors ---------------------------------------------------
@@ -546,68 +525,37 @@ class Engine:
     def run_composite(self, d: CompositeDef, ctx: ExecContext):
         result = None
         for stmt in d.body:
-            value = self._exec_statement(stmt.call, ctx)
+            value = self._eval_composite_expr(stmt.call, ctx)
             if stmt.var is not None:
                 ctx.locals[stmt.var] = value
             result = value
         return result if result is not None else ctx.this
 
-    def _exec_statement(self, call: CondExpr, ctx: ExecContext):
-        if isinstance(call, CInvoke):
-            recv = self._eval_composite_expr(call.recv, ctx)
-            return self._invoke(call.name, call.args, recv, ctx)
-        if isinstance(call, CCall):
-            if self.lookup(call.name, len(call.args)) or (
-                call.name,
-                len(call.args),
-            ) in BUILTIN_REFACS:
-                return self._invoke(call.name, call.args, ctx.this, ctx)
-            args = [self._eval_composite_expr(a, ctx) for a in call.args]
-            try:
-                return call_semantic(call.name, args, self.graph)
-            except SemError as e:
-                raise RefacFail(str(e)) from None
-        raise RefacFail("composite statement must be an application")
-
-    def _invoke(self, name: str, arg_exprs: list[CondExpr], target, ctx: ExecContext):
-        args = [self._eval_composite_expr(a, ctx) for a in arg_exprs]
-        d = self.lookup(name, len(args))
-        if isinstance(d, SelectorDef):
-            return self.run_selector(d, self._as_node(target))
-        if d is None and (name, len(args)) not in BUILTIN_REFACS:
-            raise RefacFail(f"unknown refactoring or selector {name}/{len(args)}")
-        targets = target if isinstance(target, list) else [target]
-        result = None
-        was_this = target is ctx.this
-        for tgt in targets:
-            sub = ExecContext(self.graph, tgt)
-            for p, v in zip(d.params if d else [], args):
-                sub.bindings = sub.bindings.bind(p, v)
-                if sub.bindings is None:
-                    raise RefacFail("conflicting actual parameters")
-            result = self._dispatch(d, name, sub, args)
-        if was_this and not isinstance(target, list):
-            ctx.this = result
-        return result
-
     def _eval_composite_expr(self, c: CondExpr, ctx: ExecContext):
+        """The value of a composite's statement or of an argument in it.  An
+        application of a refactoring or selector runs it: at its receiver,
+        at each element of a receiver list, or at THIS without a receiver."""
         if isinstance(c, CVar) and c.name in ctx.locals:
             return ctx.locals[c.name]
         if isinstance(c, CThis):
             return ctx.this
-        if isinstance(c, CInvoke):
-            recv = self._eval_composite_expr(c.recv, ctx)
-            d = self.lookup(c.name, len(c.args))
-            if isinstance(d, SelectorDef):
-                return self.run_selector(d, self._as_node(recv))
-            return self._invoke(c.name, c.args, recv, ctx)
-        if isinstance(c, CCall):
+        if isinstance(c, CInvoke) or (
+            isinstance(c, CCall)
+            and (self.lookup(c.name, len(c.args)) or (c.name, len(c.args)) in BUILTIN_REFACS)
+        ):
+            recv = self._eval_composite_expr(c.recv, ctx) if isinstance(c, CInvoke) else ctx.this
             args = [self._eval_composite_expr(a, ctx) for a in c.args]
-            try:
-                return call_semantic(c.name, args, self.graph)
-            except SemError as e:
-                raise RefacFail(str(e)) from None
+            result = None
+            for target in recv if isinstance(recv, list) else [recv]:
+                result = self._call(c.name, target, args)
+            # a refactoring of THIS moves THIS to its result; a selector does not
+            if recv is ctx.this and not isinstance(self.lookup(c.name, len(args)), SelectorDef):
+                ctx.this = result
+            return result
         try:
+            if isinstance(c, CCall):
+                args = [self._eval_composite_expr(a, ctx) for a in c.args]
+                return call_semantic(c.name, args, self.graph)
             this_node = self._as_node(ctx.this) if isinstance(ctx.this, t.Node) else ctx.this
             return eval_expr(c, ctx.bindings, self.graph, this_node)
         except SemError as e:
@@ -622,9 +570,7 @@ class Engine:
             return self._add_parameter(ctx)
         if name == "fold_entire_function":
             return self._fold_entire_function(ctx, args[0], args[1])
-        if name == "replace_val_by_var":
-            return self._replace_val_by_var(ctx, args[0])
-        raise RefacFail(f"unknown builtin {name}")
+        return self._replace_val_by_var(ctx, args[0])
 
     def _copy_function(self, ctx: ExecContext, new_name) -> FunctionSem:
         fn = self._target_function(ctx.this)
@@ -647,12 +593,8 @@ class Engine:
                 if isinstance(n, t.Var):
                     taken.add(n.name)
         pname = fresh_name(taken)
-        old_clauses = list(form.clauses)
-        for clause in old_clauses:
-            new_clause = t.Clause(
-                clause.name, clause.patterns + [t.Var(pname)], clause.body
-            )
-            self.graph.txn_replace(clause.nid, new_clause)
+        for clause in list(form.clauses):
+            self._replace(clause, t.Clause(clause.name, clause.patterns + [t.Var(pname)], clause.body))
         return self.graph.functions[(fn.module, fn.name, fn.arity + 1)]
 
     def _fold_entire_function(self, ctx: ExecContext, orig, actual) -> FunctionSem:
@@ -671,8 +613,7 @@ class Engine:
         for oc in list(orig_form.clauses):
             call_args = [t.copy_fresh(p) for p in oc.patterns] + [t.copy_fresh(actual_node)]
             call = t.Call(t.Atom(copy_fn.name), call_args)
-            new_clause = t.Clause(oc.name, oc.patterns, [call])
-            self.graph.txn_replace(oc.nid, new_clause)
+            self._replace(oc, t.Clause(oc.name, oc.patterns, [call]))
         return self.graph.functions[(orig_fn.module, orig_fn.name, orig_fn.arity)]
 
     def _replace_val_by_var(self, ctx: ExecContext, var) -> t.Node:
@@ -700,8 +641,7 @@ class Engine:
             raise RefacFail(
                 f"replace_val_by_var needs exactly one occurrence, found {len(sites)}"
             )
-        new_ref = self.graph.txn_replace(sites[0].nid, t.Var(var_node.name))
-        return self.graph.node(new_ref)
+        return self._replace(sites[0], t.Var(var_node.name))
 
 
 # --- signature contract helpers ----------------------------------------------
@@ -713,16 +653,6 @@ def _callee_name(call: t.Call) -> str:
     if isinstance(call.callee, t.Var):
         return call.callee.name
     raise RefacFail("application callee is not a name")
-
-
-def _pattern_names(p) -> set[str]:
-    nodes = p if isinstance(p, list) else [p]
-    out = set()
-    for root in nodes:
-        for n in t.walk(root):
-            if isinstance(n, (t.Metavar, t.ListMetavar)):
-                out.add(n.name)
-    return out
 
 
 def _shape(node: t.Node, names: set[str], used: set[str]):

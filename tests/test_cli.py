@@ -55,6 +55,31 @@ def test_apply_refuses_an_expression_in_a_pattern_position(work, capsys):
     assert work.read_bytes() == APPLE.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "args, call",
+    [(["rename_function", "h"], "h(h(X))"), (["tuple_function_arguments"], "g({g({X})})")],
+    ids=["rename", "tuple"],
+)
+def test_signature_scheme_rewrites_nested_call_sites(tmp_path, args, call):
+    # the outer call copies its argument, so it must hold the rewritten inner call
+    work = tmp_path / "nest.erl"
+    work.write_bytes(b"-module(nest).\ng(X) -> X.\nf(X) -> g(g(X)).\n")
+    assert main(["apply", str(work), *args, "--fun", "g/1", "--write"]) == 0
+    text = work.read_text()
+    assert f"f(X) -> {call}." in text
+    parse_module(text.encode())
+
+
+def test_common_tail_refuses_a_binder_target(tmp_path, capsys):
+    # hoisting out of the binder `Y` would print `[Y, apple, pear] = b`
+    src = b"-module(m).\nf() -> Y = [b, apple, pear], Y.\n"
+    work = tmp_path / "bind.erl"
+    work.write_bytes(src)
+    assert main(["apply", str(work), "common_tail", "--at", "2:8", "--write"]) == 1
+    assert "pattern position" in capsys.readouterr().err
+    assert work.read_bytes() == src
+
+
 def test_apply_with_an_unbound_replacement_metavariable_fails(work, tmp_path, capsys):
     refl = tmp_path / "unb.refl"
     refl.write_text("REFACTORING unb()\n    atom_to_list(A)\n    -----\n    atom_to_list(B)\n")

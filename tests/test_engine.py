@@ -1,6 +1,8 @@
+import random
 from pathlib import Path
 
 import pytest
+from property_suites import _random_module_source
 
 from miniref import engine, tree as t
 from miniref.dsl import parse_refl
@@ -9,6 +11,7 @@ from miniref.graph import GraphError, build_graph
 from miniref.parser import parse_module
 
 DEFS_DIR = Path(__file__).resolve().parent.parent / "src" / "miniref" / "definitions"
+SAMPLES_DIR = DEFS_DIR.parent / "samples"
 
 
 def load_defs(*names):
@@ -415,6 +418,31 @@ def test_fun2value_rejects_second_data_source():
     assert g.render("m") == src
 
 
+def test_forward_dataflow_sequence_replacement_is_wrapped_in_a_block():
+    text = (
+        "FORWARD DATAFLOW REFACTORING fun2seq()\n"
+        "DEFINITION\n    fun() -> E end\n    -----\n    ok, E\n"
+        "REFERENCE F\n    F()\n    -----\n    F\n"
+    )
+    src = b"-module(m).\nf() ->\n    X = fun() -> apple end,\n    X().\n"
+    g = build_graph([parse_module(src)])
+    assert Engine(g, parse_refl(text)).run("fun2seq", at(g, 3, 9)).ok
+    out = g.render("m")
+    assert out == (
+        b"-module(m).\nf() ->\n    X = begin\n            ok,\n            apple\n"
+        b"        end,\n    X.\n"
+    )
+    parse_module(out)
+
+
+def test_scheme_failure_names_the_stage_that_rejected_the_target():
+    src = b"-module(m).\nf() ->\n    X = fun() -> apple end,\n    X().\n"
+    g, eng = setup(src, "schemes.refl")
+    out = eng.run("fun2value", at(g, 3, 5))
+    assert not out.ok and out.reason == "definition rule: pattern does not match Var"
+    assert g.render("m") == src
+
+
 def test_common_tail_backward():
     src = (
         b"-module(m).\nf([H | T]) ->\n    case H of\n        1 -> [2 | f(T)];\n"
@@ -552,3 +580,35 @@ def test_unexpected_error_rolls_back_every_open_txn(monkeypatch):
     assert _no_open_txn(g)
     assert g.render("m") == src
     assert g.module("m").forms[0].clauses[0].body[0] is target
+
+
+# -- catalog sweep -------------------------------------------------------------------
+
+
+def _spanned_exprs(g):
+    return [n for n in t.walk(g.modules[0]) if isinstance(n, t.Expr) and n.span is not None]
+
+
+def test_every_catalog_definition_at_every_expression_reparses_or_leaves_the_bytes():
+    defs = load_defs("composite.refl", "extensive.refl", "local.refl", "schemes.refl")
+    sources = [(SAMPLES_DIR / n).read_bytes() for n in ("apple.erl", "apple_after.erl", "basket.erl")]
+    rng = random.Random(5)
+    sources += [_random_module_source(rng).encode() for _ in range(8)]
+    outcomes = set()
+    for k, src in enumerate(sources):
+        sites = len(_spanned_exprs(build_graph([parse_module(src)])))
+        for d in defs:
+            for i in range(sites):
+                g = build_graph([parse_module(src)])
+                case = f"{d.name} at expression {i} of source {k}"
+                try:
+                    out = Engine(g, defs).run(d.name, _spanned_exprs(g)[i], ["newname"] * len(d.params))
+                except Exception as e:
+                    pytest.fail(f"{case}: {e!r}")
+                rendered = g.render(g.modules[0].name)
+                if out.ok:
+                    parse_module(rendered)
+                else:
+                    assert rendered == src, case
+                outcomes.add(out.ok)
+    assert outcomes == {True, False}
