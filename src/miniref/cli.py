@@ -8,9 +8,13 @@ Subcommands:
   test            randomized before/after testing of two modules
   graph           dump the semantic graph of a module
 
+Definitions (the packaged catalog and each --defs file) are checked when
+they load: a fault in any of them stops the command before it reads a
+module.
+
 Exit codes: 0 success / proved / no divergence; 1 refactoring failure,
 contract violation, disproof, or divergence; 2 not proved but not
-disproved; 3 usage or parse errors.
+disproved; 3 usage, parse or definition error.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from importlib import resources
 from pathlib import Path
 
 from .dsl import ReflSyntaxError, RuleDef, SchemeDef, parse_refl
-from .engine import Engine
+from .engine import Engine, validate
 from .graph import GraphError, build_graph
 from .lexer import MiniErlangSyntaxError
 from .parser import parse_module
@@ -40,14 +44,24 @@ from .verifier.prover import render_goal
 OK, FAILED, UNKNOWN, USAGE = 0, 1, 2, 3
 
 
+class DefinitionError(Exception):
+    """Definitions that do not validate: one argument per fault, naming its file."""
+
+
 def _load_definitions(extra: list[str]) -> list:
-    defs: list = []
     pkg = resources.files("miniref") / "definitions"
-    for entry in sorted(pkg.iterdir(), key=lambda p: p.name):
-        if entry.name.endswith(".refl"):
-            defs.extend(parse_refl(entry.read_text()))
-    for path in extra:
-        defs.extend(parse_refl(Path(path).read_text()))
+    entries = sorted(pkg.iterdir(), key=lambda p: p.name)
+    files = [(e.name, e) for e in entries if e.name.endswith(".refl")]
+    files += [(path, Path(path)) for path in extra]
+    defs: list = []
+    origin: dict[int, str] = {}
+    for name, entry in files:
+        for d in parse_refl(entry.read_text()):
+            origin[id(d)] = name
+            defs.append(d)
+    diags = validate(defs)
+    if diags:
+        raise DefinitionError(*(f"{origin[id(d)]}: {msg}" for d, msg in diags))
     return defs
 
 
@@ -72,9 +86,10 @@ def _parse_at(spec: str):
 
 
 def cmd_apply(args) -> int:
+    defs = _load_definitions(args.defs)
     module = _read_module(args.file)
     graph = build_graph([module])
-    engine = Engine(graph, _load_definitions(args.defs))
+    engine = Engine(graph, defs)
     if args.at:
         line, col = _parse_at(args.at)
         target = graph.node(graph.lookup_at(module.name, line, col))
@@ -259,13 +274,11 @@ def main(argv=None) -> int:
         return USAGE if e.code else OK
     try:
         return args.fn(args)
-    except (MiniErlangSyntaxError, ReflSyntaxError, GraphError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except DefinitionError as e:
+        for line in e.args:
+            print(f"error: {line}", file=sys.stderr)
         return USAGE
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE
-    except ValueError as e:
+    except (MiniErlangSyntaxError, ReflSyntaxError, GraphError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
     except RecursionError:

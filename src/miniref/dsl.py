@@ -1,4 +1,4 @@
-"""Parser, printer and static validator for `.refl` refactoring definitions.
+"""Parser and condition printer for `.refl` refactoring definitions.
 
 The surface language is line-oriented: uppercase keywords introduce sections,
 `-----` separates a matching pattern from its replacement, and `%` starts a
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from . import tree as t
 from .lexer import MiniErlangSyntaxError, Token, tokenize
 from .parser import parse_clause_pattern, parse_expr_seq
-from .printer import atom_text, print_expr
+from .printer import atom_text
 
 # --- condition / selector expression language -------------------------------
 
@@ -86,9 +86,6 @@ class COr(CondExpr):
 
 # --- definition IR ----------------------------------------------------------
 
-Pattern = "t.Expr | t.ClausePat"
-
-
 @dataclass
 class RuleStep:
     matching: t.Node
@@ -133,9 +130,6 @@ class SelectorDef:
     params: list[str]
     matching: t.Node
     returns: str
-
-
-Definition = "RuleDef | SchemeDef | CompositeDef | SelectorDef"
 
 
 class ReflSyntaxError(MiniErlangSyntaxError):
@@ -556,231 +550,3 @@ def print_cond(c: CondExpr, prec: int = 0) -> str:
         s = f"{print_cond(c.left, 1)} OR {print_cond(c.right, 2)}"
         return f"({s})" if prec > 1 else s
     raise TypeError(f"cannot print {type(c).__name__}")
-
-
-def _print_pattern(p, indent: str) -> str:
-    if isinstance(p, list):
-        return (",\n" + indent).join(print_expr(e, indent) for e in p)
-    return print_expr(p, indent)
-
-
-def _print_step(step: RuleStep, out: list[str]) -> None:
-    if step.modifier:
-        out.append(f"{step.modifier[0]} {print_cond(step.modifier[1])}")
-    out.append("    " + _print_pattern(step.matching, "    "))
-    out.append("    -----")
-    out.append("    " + _print_pattern(step.replacement, "    "))
-    if step.condition is not None:
-        out.append("WHEN")
-        out.append("    " + print_cond(step.condition))
-
-
-def print_def(d) -> str:
-    out: list[str] = []
-    if isinstance(d, RuleDef):
-        out.append(f"REFACTORING {d.name}({', '.join(d.params)})")
-        for op, step in d.steps:
-            if op:
-                out.append(op)
-            _print_step(step, out)
-    elif isinstance(d, SchemeDef):
-        if d.kind == "signature":
-            out.append("FUNCTION SIGNATURE REFACTORING")
-            out.append(f"    {d.name}({', '.join(d.params)})")
-            _print_step(d.rule, out)
-        else:
-            kw = "FORWARD" if d.kind == "forward_dataflow" else "BACKWARD"
-            out.append(f"{kw} DATAFLOW REFACTORING {d.name}({', '.join(d.params)})")
-            out.append("DEFINITION")
-            _print_step(d.definition, out)
-            for refvar, step in d.references:
-                out.append(f"REFERENCE {refvar}")
-                _print_step(step, out)
-    elif isinstance(d, SelectorDef):
-        out.append(f"SELECTOR {d.name}({', '.join(d.params)})")
-        out.append("    " + _print_pattern(d.matching, "    "))
-        out.append(f"RETURN {d.returns}")
-    elif isinstance(d, CompositeDef):
-        out.append(f"REFACTORING {d.name}({', '.join(d.params)})")
-        out.append("DO")
-        for stmt in d.body:
-            lhs = f"{stmt.var} = " if stmt.var else ""
-            out.append(f"    {lhs}{print_cond(stmt.call)}")
-    else:
-        raise TypeError(f"cannot print {type(d).__name__}")
-    return "\n".join(out)
-
-
-def print_refl(defs: list) -> str:
-    return "\n\n".join(print_def(d) for d in defs) + "\n"
-
-
-# --- static validation ------------------------------------------------------
-
-
-def _pattern_metavars(p) -> set[str]:
-    names = set()
-    nodes = p if isinstance(p, list) else [p]
-    for root in nodes:
-        for n in t.walk(root):
-            if isinstance(n, (t.Metavar, t.ListMetavar)):
-                names.add(n.name)
-    return names
-
-
-def _cond_bound(c: CondExpr | None) -> list[str]:
-    """Names bound by `=` conditions, left-to-right."""
-    if c is None:
-        return []
-    if isinstance(c, CBind):
-        return [c.name] + _cond_bound(c.expr)
-    if isinstance(c, (CAnd, COr)):
-        return _cond_bound(c.left) + _cond_bound(c.right)
-    if isinstance(c, CNot):
-        return _cond_bound(c.arg)
-    if isinstance(c, CCall):
-        # fresh(M) invents a new name and binds it to M
-        if c.name == "fresh" and len(c.args) == 1 and isinstance(c.args[0], CVar):
-            return [c.args[0].name]
-        return [n for a in c.args for n in _cond_bound(a)]
-    if isinstance(c, CInvoke):
-        return _cond_bound(c.recv) + [n for a in c.args for n in _cond_bound(a)]
-    return []
-
-
-def _cond_used(c: CondExpr | None) -> set[str]:
-    if c is None:
-        return set()
-    if isinstance(c, CVar):
-        return {c.name}
-    if isinstance(c, CBind):
-        return _cond_used(c.expr)
-    if isinstance(c, (CAnd, COr)):
-        return _cond_used(c.left) | _cond_used(c.right)
-    if isinstance(c, CNot):
-        return _cond_used(c.arg)
-    if isinstance(c, (CCall, CInvoke)):
-        out = set()
-        if isinstance(c, CInvoke):
-            out |= _cond_used(c.recv)
-        for a in c.args:
-            out |= _cond_used(a)
-        return out
-    return set()
-
-
-_SEQ_FIELDS = {
-    (t.Call, "args"),
-    (t.RemoteCall, "args"),
-    (t.Tuple, "elems"),
-    (t.Block, "exprs"),
-    (t.Clause, "patterns"),
-    (t.Clause, "body"),
-    (t.ClausePat, "patterns"),
-    (t.ClausePat, "body"),
-    (t.Cons, "head"),
-    (t.ListComp, "qualifiers"),
-    (t.Filter, "expr"),
-}
-
-
-def _listmeta_misplacements(p) -> list[str]:
-    bad: list[str] = []
-    roots = p if isinstance(p, list) else [p]
-
-    def visit(node, ok_here: bool):
-        if isinstance(node, t.ListMetavar) and not ok_here:
-            bad.append(node.name)
-        for name in t.struct_fields(type(node)):
-            v = getattr(node, name)
-            legal = (type(node), name) in _SEQ_FIELDS
-            if isinstance(v, t.Node):
-                visit(v, legal)
-            elif isinstance(v, list):
-                for x in v:
-                    if isinstance(x, t.Node):
-                        visit(x, legal)
-
-    for root in roots:
-        visit(root, True)  # a root in a sequence position is fine
-    return bad
-
-
-def _rule_steps(d):
-    if isinstance(d, RuleDef):
-        return [s for _, s in d.steps]
-    if isinstance(d, SchemeDef):
-        if d.kind == "signature":
-            return [d.rule]
-        return [d.definition] + [s for _, s in d.references]
-    return []
-
-
-def validate(defs: list) -> list[str]:
-    diags: list[str] = []
-    seen: set[tuple[str, int]] = set()
-    composites = {d.name: d for d in defs if isinstance(d, CompositeDef)}
-
-    for d in defs:
-        key = (d.name, len(d.params))
-        if key in seen:
-            diags.append(f"{d.name}/{len(d.params)}: duplicate definition")
-        seen.add(key)
-
-        if isinstance(d, (RuleDef, SchemeDef)):
-            bound = set(d.params) | {"THIS"}
-            assigned: set[str] = set(d.params)
-            steps = _rule_steps(d)
-            if isinstance(d, SchemeDef) and d.kind != "signature":
-                for refvar, step in d.references:
-                    in_match = refvar in _pattern_metavars(step.matching)
-                    in_repl = refvar in _pattern_metavars(step.replacement)
-                    if not (in_match and in_repl):
-                        diags.append(
-                            f"{d.name}: reference metavariable {refvar} must occur on both"
-                            " sides of its rule"
-                        )
-            for step in steps:
-                bound |= _pattern_metavars(step.matching)
-                for name in _cond_bound(step.condition):
-                    if name in assigned:
-                        diags.append(f"{d.name}: metavariable {name} is bound more than once")
-                    assigned.add(name)
-                    bound.add(name)
-                for name in _pattern_metavars(step.replacement) - bound:
-                    diags.append(f"{d.name}: {name} unbindable in replacement")
-                for p, where in ((step.matching, "matching"), (step.replacement, "replacement")):
-                    for name in _listmeta_misplacements(p):
-                        diags.append(
-                            f"{d.name}: list metavariable {name}.. in a non-sequence"
-                            f" position in {where}"
-                        )
-
-        if isinstance(d, SelectorDef):
-            if d.returns not in _pattern_metavars(d.matching) | set(d.params):
-                diags.append(f"{d.name}: RETURN {d.returns} is never bound")
-            for name in _listmeta_misplacements(d.matching):
-                diags.append(f"{d.name}: list metavariable {name}.. in a non-sequence position")
-
-    # composite recursion (direct or mutual)
-    def callees(d: CompositeDef) -> set[str]:
-        out = set()
-        for stmt in d.body:
-            c = stmt.call
-            if isinstance(c, (CCall, CInvoke)) and c.name in composites:
-                out.add(c.name)
-        return out
-
-    for name, d in composites.items():
-        stack, visited = [name], set()
-        while stack:
-            cur = stack.pop()
-            for callee in callees(composites[cur]):
-                if callee == name:
-                    diags.append(f"{name}: recursive composite definition")
-                    stack = []
-                    break
-                if callee not in visited:
-                    visited.add(callee)
-                    stack.append(callee)
-    return diags

@@ -13,6 +13,10 @@ into a clause body or block and wrapped in a `Block` elsewhere, and no
 expression is put in a pattern position.  Bindings hold subtrees that other
 rewrites change, so a definition matches a site when it rewrites it, not in
 a plan made before the first edit.
+
+`validate` reports, before anything runs, what these routines and the
+condition evaluator would reject; it reads the same tables of semantic
+functions (`semlib.SEMANTIC`) and builtin refactorings (`BUILTINS`).
 """
 
 from __future__ import annotations
@@ -20,11 +24,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from . import dsl
 from . import tree as t
 from .dsl import (
+    CAnd,
+    CBind,
     CCall,
     CInvoke,
+    CNot,
+    COr,
     CThis,
     CVar,
     CompositeDef,
@@ -36,7 +43,15 @@ from .dsl import (
 )
 from .graph import FunctionSem, SemanticGraph
 from .matcher import Bindings, MatchError, instantiate, match
-from .semlib import SemError, call_semantic, eval_condition, eval_expr, fresh_name
+from .semlib import (
+    SEMANTIC,
+    SemError,
+    call_semantic,
+    eval_condition,
+    eval_expr,
+    fresh_name,
+    semantic,
+)
 
 
 class RefacFail(Exception):
@@ -73,14 +88,6 @@ class ExecContext:
     this: object  # syntactic node or FunctionSem
     bindings: Bindings = field(default_factory=Bindings)
     locals: dict = field(default_factory=dict)
-
-
-BUILTIN_REFACS = {
-    ("copy_function", 1),
-    ("add_parameter", 0),
-    ("fold_entire_function", 2),
-    ("replace_val_by_var", 1),
-}
 
 
 class Engine:
@@ -120,15 +127,16 @@ class Engine:
         d = self.lookup(name, len(args))
         if isinstance(d, SelectorDef):
             return self.run_selector(d, self._as_node(target))
-        if d is None and (name, len(args)) not in BUILTIN_REFACS:
-            raise RefacFail(f"unknown refactoring {name}/{len(args)}")
         ctx = ExecContext(self.graph, target)
-        for p, v in zip(d.params if d else [], args):
+        if d is None:
+            builtin = BUILTINS.get((name, len(args)))
+            if builtin is None:
+                raise RefacFail(f"unknown refactoring {name}/{len(args)}")
+            return builtin(self, ctx, *args)
+        for p, v in zip(d.params, args):
             ctx.bindings = ctx.bindings.bind(p, v)
             if ctx.bindings is None:
                 raise RefacFail("conflicting actual parameters")
-        if d is None:
-            return self.run_builtin(name, ctx, args)
         if isinstance(d, RuleDef):
             return self.run_combined(d, ctx)
         if isinstance(d, CompositeDef):
@@ -235,7 +243,7 @@ class Engine:
             raise RefacFail("clause rule must produce a clause")
         result = self._replace(target, replacement)
         # commit condition-established bindings to the definition-wide scope
-        for name in dsl._cond_bound(step.condition):
+        for name in _cond_bound(step.condition):
             if name in b:
                 nb = ctx.bindings.bind(name, b[name])
                 if nb is None:
@@ -467,7 +475,7 @@ class Engine:
                 raise RefacFail("a data source flows somewhere besides the target")
         # metavariables bound by the definition matching but unused in its
         # replacement are global: they must unify across all sources
-        global_names = dsl._pattern_metavars(d.definition.matching) - dsl._pattern_metavars(
+        global_names = _pattern_metavars(d.definition.matching) - _pattern_metavars(
             d.definition.replacement
         )
         shared = ref_b
@@ -541,7 +549,7 @@ class Engine:
             return ctx.this
         if isinstance(c, CInvoke) or (
             isinstance(c, CCall)
-            and (self.lookup(c.name, len(c.args)) or (c.name, len(c.args)) in BUILTIN_REFACS)
+            and (self.lookup(c.name, len(c.args)) or (c.name, len(c.args)) in BUILTINS)
         ):
             recv = self._eval_composite_expr(c.recv, ctx) if isinstance(c, CInvoke) else ctx.this
             args = [self._eval_composite_expr(a, ctx) for a in c.args]
@@ -562,15 +570,6 @@ class Engine:
             raise RefacFail(str(e)) from None
 
     # -- built-in helper refactorings ---------------------------------------------------
-
-    def run_builtin(self, name: str, ctx: ExecContext, args: list):
-        if name == "copy_function":
-            return self._copy_function(ctx, args[0])
-        if name == "add_parameter":
-            return self._add_parameter(ctx)
-        if name == "fold_entire_function":
-            return self._fold_entire_function(ctx, args[0], args[1])
-        return self._replace_val_by_var(ctx, args[0])
 
     def _copy_function(self, ctx: ExecContext, new_name) -> FunctionSem:
         fn = self._target_function(ctx.this)
@@ -642,6 +641,16 @@ class Engine:
                 f"replace_val_by_var needs exactly one occurrence, found {len(sites)}"
             )
         return self._replace(sites[0], t.Var(var_node.name))
+
+
+# The built-in helper refactorings, by (name, arity): each runs at ctx.this
+# with its arguments.  The engine and `validate` both read this table.
+BUILTINS = {
+    ("copy_function", 1): Engine._copy_function,
+    ("add_parameter", 0): Engine._add_parameter,
+    ("fold_entire_function", 2): Engine._fold_entire_function,
+    ("replace_val_by_var", 1): Engine._replace_val_by_var,
+}
 
 
 # --- signature contract helpers ----------------------------------------------
@@ -718,3 +727,185 @@ def _successors(state: tuple):
         for j in range(i + 1, n + 1):
             for kind in ("tuple", "list"):
                 yield state[:i] + ((kind, state[i:j]),) + state[j:]
+
+
+# --- static validation ------------------------------------------------------
+
+
+def _pattern_metavars(p) -> set[str]:
+    names = set()
+    nodes = p if isinstance(p, list) else [p]
+    for root in nodes:
+        for n in t.walk(root):
+            if isinstance(n, (t.Metavar, t.ListMetavar)):
+                names.add(n.name)
+    return names
+
+
+def _cond_bound(c: CondExpr | None) -> list[str]:
+    """Names bound by `=` conditions and by binding semantic functions
+    (`fresh(M)`), left-to-right."""
+    if c is None:
+        return []
+    if isinstance(c, CBind):
+        return [c.name] + _cond_bound(c.expr)
+    if isinstance(c, (CAnd, COr)):
+        return _cond_bound(c.left) + _cond_bound(c.right)
+    if isinstance(c, CNot):
+        return _cond_bound(c.arg)
+    if isinstance(c, CCall):
+        sem = SEMANTIC.get(c.name)
+        if sem is not None and sem.binds and len(c.args) == 1 and isinstance(c.args[0], CVar):
+            return [c.args[0].name]
+        return [n for a in c.args for n in _cond_bound(a)]
+    return []
+
+
+def _faults(c: CondExpr, refacs: set | None, conjunct: bool) -> list[str]:
+    """What evaluating `c` would reject.  `refacs` holds the (name, arity)
+    keys that a composite may apply; it is None in a condition or a
+    modifier, which apply none.  A condition's conjuncts may combine with
+    AND, OR and NOT, bind with `=` or call a binding function such as
+    `fresh`; everything else, and any argument, must be a value."""
+    if conjunct and isinstance(c, (CAnd, COr)):
+        return _faults(c.left, refacs, True) + _faults(c.right, refacs, True)
+    if conjunct and isinstance(c, CNot):
+        return _faults(c.arg, refacs, True)
+    if conjunct and isinstance(c, CBind):
+        return _faults(c.expr, refacs, False)
+    if isinstance(c, (CAnd, COr, CNot, CBind)):
+        return [f"cannot evaluate {type(c).__name__} as a value"]
+    if isinstance(c, CInvoke) or (
+        isinstance(c, CCall) and refacs is not None and (c.name, len(c.args)) in refacs
+    ):
+        if refacs is None:
+            return [f"refactoring invocation .{c.name}(..) is not allowed"]
+        known = (c.name, len(c.args)) in refacs
+        out = [] if known else [f"unknown refactoring {c.name}/{len(c.args)}"]
+        parts = [c.recv, *c.args] if isinstance(c, CInvoke) else c.args
+        return out + [f for a in parts for f in _faults(a, refacs, False)]
+    if isinstance(c, CCall):
+        try:
+            sem = semantic(c.name, len(c.args))
+        except SemError as e:
+            return [str(e)]
+        if sem.binds and not conjunct:
+            return [f"{c.name} binds a metavariable and has no value"]
+        if sem.binds and not isinstance(c.args[0], CVar):
+            return [f"{c.name} expects a metavariable argument"]
+        return [f for a in c.args for f in _faults(a, refacs, False)]
+    return []
+
+
+_SEQ_FIELDS = {
+    (t.Call, "args"),
+    (t.RemoteCall, "args"),
+    (t.Tuple, "elems"),
+    (t.Block, "exprs"),
+    (t.Clause, "patterns"),
+    (t.Clause, "body"),
+    (t.ClausePat, "patterns"),
+    (t.ClausePat, "body"),
+    (t.Cons, "head"),
+    (t.ListComp, "qualifiers"),
+    (t.Filter, "expr"),
+}
+
+
+def _listmeta_misplacements(p) -> list[str]:
+    bad: list[str] = []
+    roots = p if isinstance(p, list) else [p]
+
+    def visit(node, ok_here: bool):
+        if isinstance(node, t.ListMetavar) and not ok_here:
+            bad.append(node.name)
+        for name in t.struct_fields(type(node)):
+            v = getattr(node, name)
+            legal = (type(node), name) in _SEQ_FIELDS
+            if isinstance(v, t.Node):
+                visit(v, legal)
+            elif isinstance(v, list):
+                for x in v:
+                    if isinstance(x, t.Node):
+                        visit(x, legal)
+
+    for root in roots:
+        visit(root, True)  # a root in a sequence position is fine
+    return bad
+
+
+def _rule_steps(d):
+    if isinstance(d, RuleDef):
+        return [s for _, s in d.steps]
+    if isinstance(d, SchemeDef):
+        if d.kind == "signature":
+            return [d.rule]
+        return [d.definition] + [s for _, s in d.references]
+    return []
+
+
+def validate(defs: list) -> list[tuple[object, str]]:
+    """The faults of `defs` that a run would meet, as (definition, message)
+    pairs; each message starts with the definition's name.  A set that
+    validates clean names only semantic functions, definitions and builtins
+    that exist, with their arities, and builds only bound metavariables."""
+    diags: list[tuple[object, str]] = []
+    seen: set[tuple[str, int]] = set()
+    composites = {d.name: d for d in defs if isinstance(d, CompositeDef)}
+    refacs = {(d.name, len(d.params)) for d in defs} | set(BUILTINS)
+
+    for d in defs:
+        msgs: list[str] = []
+        key = (d.name, len(d.params))
+        if key in seen:
+            msgs.append(f"duplicate definition of {d.name}/{len(d.params)}")
+        seen.add(key)
+
+        if isinstance(d, SchemeDef) and d.kind != "signature":
+            for refvar, step in d.references:
+                in_match = refvar in _pattern_metavars(step.matching)
+                in_repl = refvar in _pattern_metavars(step.replacement)
+                if not (in_match and in_repl):
+                    msgs.append(
+                        f"reference metavariable {refvar} must occur on both sides of its rule"
+                    )
+        # `M = e` on a bound M compares, so a name may be bound more than once
+        bound = set(d.params) | {"THIS"}
+        for step in _rule_steps(d):
+            bound |= _pattern_metavars(step.matching) | set(_cond_bound(step.condition))
+            for name in sorted(_pattern_metavars(step.replacement) - bound):
+                msgs.append(f"{name} unbindable in replacement")
+            for p, where in ((step.matching, "matching"), (step.replacement, "replacement")):
+                for name in _listmeta_misplacements(p):
+                    msgs.append(f"list metavariable {name}.. in a non-sequence position in {where}")
+            if step.condition is not None:
+                msgs.extend(f"condition: {f}" for f in _faults(step.condition, None, True))
+            if step.modifier is not None:
+                kind, expr = step.modifier
+                msgs.extend(f"{kind} modifier: {f}" for f in _faults(expr, None, False))
+
+        if isinstance(d, SelectorDef):
+            if d.returns not in _pattern_metavars(d.matching) | set(d.params):
+                msgs.append(f"RETURN {d.returns} is never bound")
+            for name in _listmeta_misplacements(d.matching):
+                msgs.append(f"list metavariable {name}.. in a non-sequence position")
+
+        if isinstance(d, CompositeDef):
+            for stmt in d.body:
+                msgs.extend(_faults(stmt.call, refacs, False))
+        diags.extend((d, f"{d.name}: {m}") for m in msgs)
+
+    # composite recursion (direct or mutual)
+    for name, d in composites.items():
+        stack, visited = [name], set()
+        while stack:
+            cur = stack.pop()
+            for callee in {s.call.name for s in composites[cur].body} & composites.keys():
+                if callee == name:
+                    diags.append((d, f"{name}: recursive composite definition"))
+                    stack = []
+                    break
+                if callee not in visited:
+                    visited.add(callee)
+                    stack.append(callee)
+    return diags

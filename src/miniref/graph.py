@@ -33,7 +33,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 from . import tree as t
-from .printer import splice
+from .printer import print_form, splice
 
 NodeRef = int
 
@@ -564,6 +564,9 @@ class SemanticGraph:
         anchor = self.node(after)
         if not isinstance(anchor, t.FunctionForm):
             raise GraphError("insertion anchor must be a function form")
+        # spans index the text a form was parsed from, not this module's
+        if any(n.span is not None for n in t.walk(form)):
+            raise GraphError("an inserted form must carry no spans; insert a copy_fresh copy")
         idx = mod.forms.index(anchor)
         self._splice(mod.forms, idx + 1, idx + 1, [form], mod)
         if anchor.span is not None:
@@ -881,8 +884,6 @@ def _roots(replacement) -> list[t.Node]:
 
 
 def _form_insertion_text(payload: _FormInsertion) -> str:
-    from .printer import print_form
-
     return "\n\n" + print_form(payload.form)
 
 

@@ -24,6 +24,8 @@ from .config import (
     Pure,
     is_ground,
     is_value,
+    mathvar_names,
+    subst_math,
     term_eq,
     unify,
 )
@@ -198,8 +200,6 @@ def entails(p, q) -> bool:
 
 
 def _subst_constraint(c, b):
-    from .config import subst_math
-
     if isinstance(c, (Eq, Neq)):
         return type(c)(subst_math(c.left, b), subst_math(c.right, b))
     if isinstance(c, Pure):
@@ -330,8 +330,6 @@ class _Search:
 
     @staticmethod
     def _fresh_side(eq: EqConfig, var: str) -> str:
-        from .config import mathvar_names
-
         return "cfg2" if var in mathvar_names(eq.cfg2.code) else "cfg1"
 
     def _stuck(self, eq: EqConfig, cs, trace) -> ProofResult:

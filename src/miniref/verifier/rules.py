@@ -55,6 +55,7 @@ from .config import (
     NotMatches,
     SymDefs,
     SymEnv,
+    is_ground,
     is_value,
     subst_program_vars,
     term_eq,
@@ -145,8 +146,6 @@ def _sm(v, p, env, keys, pvars, mvars):
 
 
 def _ground_distinct(a, b) -> bool:
-    from .config import is_ground
-
     return is_ground(a) and is_ground(b) and not term_eq(a, b)
 
 

@@ -84,9 +84,74 @@ def test_apply_with_an_unbound_replacement_metavariable_fails(work, tmp_path, ca
     refl = tmp_path / "unb.refl"
     refl.write_text("REFACTORING unb()\n    atom_to_list(A)\n    -----\n    atom_to_list(B)\n")
     args = ["apply", str(work), "unb", "--at", "6:17", "--defs", str(refl), "--write"]
-    assert main(args) == 1
-    assert capsys.readouterr().err == "failed: unbound metavariable B\n"
+    assert main(args) == 3
+    assert capsys.readouterr().err == f"error: {refl}: unb: B unbindable in replacement\n"
     assert work.read_bytes() == APPLE.read_bytes()
+
+
+BAD_DEFINITIONS = {
+    "unbound": ("    atom_to_list(A)\n    -----\n    atom_to_list(B)\n",
+                "B unbindable in replacement"),
+    "unknown_predicate": ("    X\n    -----\n    X\nWHEN\n    nosuchpredicate(X)\n",
+                          "condition: unknown semantic function nosuchpredicate"),
+    "arity": ("    X\n    -----\n    X\nWHEN\n    length(X, X)\n",
+              "condition: length expects 1 argument(s), got 2"),
+    "invocation": ("    X\n    -----\n    X\nWHEN\n    X.foo()\n",
+                   "condition: refactoring invocation .foo(..) is not allowed"),
+    "composite": ("DO\n    THIS.nosuch(1)\n", "unknown refactoring nosuch/1"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_DEFINITIONS))
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["apply", "{work}", "bad", "--at", "6:17", "--write"],
+        ["verify-rule", "bad"],
+        ["check-contract", "bad"],
+    ],
+    ids=["apply", "verify-rule", "check-contract"],
+)
+def test_a_bad_definition_is_exit_3_at_load(work, tmp_path, capsys, command, bad):
+    body, fault = BAD_DEFINITIONS[bad]
+    refl = tmp_path / "bad.refl"
+    refl.write_text(f"REFACTORING bad()\n{body}")
+    args = [a.format(work=work) for a in command] + ["--defs", str(refl)]
+    assert main(args) == 3
+    assert capsys.readouterr() == ("", f"error: {refl}: bad: {fault}\n")
+    assert work.read_bytes() == APPLE.read_bytes()
+
+
+def test_definitions_are_checked_before_the_module_is_read(tmp_path, capsys):
+    refl = tmp_path / "bad.refl"
+    refl.write_text("REFACTORING bad()\n    X\n    -----\n    Y\n")
+    args = ["apply", str(tmp_path / "missing.erl"), "bad", "--at", "1:1", "--defs", str(refl)]
+    assert main(args) == 3
+    assert capsys.readouterr().err == f"error: {refl}: bad: Y unbindable in replacement\n"
+
+
+# the benchmark's user rule: `N = length(A..)` binds N when unbound and
+# compares when N is a parameter
+GROUP_PREFIX = (
+    "REFACTORING group_prefix(N)\n    {A.., B..}\n    -----\n    {{A..}, B..}\n"
+    "WHEN\n    N = length(A..)\n"
+)
+
+
+def test_group_prefix_from_defs_applies(tmp_path, capsys):
+    refl = tmp_path / "gp.refl"
+    refl.write_text(GROUP_PREFIX)
+    work = tmp_path / "m.erl"
+    work.write_bytes(b"-module(m).\nf() -> {a, b, c, d}.\n")
+
+    def apply(n: str, *extra: str) -> int:
+        args = ["apply", str(work), "group_prefix", n, "--at", "2:8", "--defs", str(refl)]
+        return main([*args, *extra])
+
+    assert apply("5") == 1
+    assert "the condition rejects all" in capsys.readouterr().err
+    assert apply("2", "--write") == 0
+    assert work.read_bytes() == b"-module(m).\nf() -> {{a, b}, c, d}.\n"
 
 
 def test_apply_without_target_is_usage_error(work, capsys):

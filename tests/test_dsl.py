@@ -18,15 +18,19 @@ from miniref.dsl import (
     SelectorDef,
     parse_condition,
     parse_refl,
-    print_refl,
-    validate,
 )
+from miniref.engine import BUILTINS, validate
+from miniref.semlib import SEMANTIC
 
 DEFS_DIR = Path(__file__).resolve().parent.parent / "src" / "miniref" / "definitions"
 
 
 def load(name: str):
     return parse_refl((DEFS_DIR / name).read_text())
+
+
+def diagnostics(text: str) -> list[str]:
+    return [msg for _, msg in validate(parse_refl(text))]
 
 
 def test_extract_listhead_parses():
@@ -125,18 +129,11 @@ def test_composite_and_selectors():
     "name", ["local.refl", "extensive.refl", "schemes.refl", "composite.refl"]
 )
 def test_shipped_definitions_validate_cleanly(name):
-    assert validate(load(name)) == []
-
-
-@pytest.mark.parametrize(
-    "name", ["local.refl", "extensive.refl", "schemes.refl", "composite.refl"]
-)
-def test_print_parse_roundtrip(name):
-    defs = load(name)
-    text = print_refl(defs)
-    again = parse_refl(text)
-    assert len(again) == len(defs)
-    assert print_refl(again) == text
+    # a composite may apply definitions of another file, so the whole
+    # catalog is validated, as the command line loads it
+    own = load(name)
+    others = [d for f in sorted(DEFS_DIR.glob("*.refl")) if f.name != name for d in load(f.name)]
+    assert validate(others + own) == []
 
 
 def test_condition_precedence():
@@ -154,20 +151,19 @@ def test_dot_call_is_on_shorthand():
 
 
 def test_unbindable_replacement_metavar():
-    defs = parse_refl("REFACTORING r()\n    X\n    -----\n    Q\n")
-    diags = validate(defs)
-    assert any("Q unbindable" in d for d in diags)
+    diags = diagnostics("REFACTORING r()\n    X\n    -----\n    Q\n")
+    assert diags == ["r: Q unbindable in replacement"]
 
 
 def test_duplicate_definition_diagnostic():
     text = "REFACTORING r()\n    X\n    -----\n    X\n"
-    diags = validate(parse_refl(text + "\n" + text))
+    diags = diagnostics(text + "\n" + text)
     assert any("duplicate" in d for d in diags)
 
 
 def test_recursive_composite_diagnostic():
     text = "REFACTORING a()\nDO\n    THIS.a()\n"
-    diags = validate(parse_refl(text))
+    diags = diagnostics(text)
     assert any("recursive" in d for d in diags)
 
 
@@ -176,13 +172,12 @@ def test_mutually_recursive_composites():
         "REFACTORING a()\nDO\n    THIS.b()\n\n"
         "REFACTORING b()\nDO\n    THIS.a()\n"
     )
-    diags = validate(parse_refl(text))
+    diags = diagnostics(text)
     assert any("recursive" in d for d in diags)
 
 
 def test_list_metavar_in_illegal_position():
-    defs = parse_refl("REFACTORING r()\n    X = Args..\n    -----\n    X\n")
-    diags = validate(defs)
+    diags = diagnostics("REFACTORING r()\n    X = Args..\n    -----\n    X\n")
     assert any("non-sequence" in d for d in diags)
 
 
@@ -196,13 +191,64 @@ def test_missing_separator_rejected():
         parse_refl("REFACTORING r()\n    X\nWHEN\n    atom(X)\n")
 
 
-def test_rebinding_metavar_rejected():
+def test_rebinding_metavar_is_a_comparison():
+    # `M = e` on a bound M compares (see `semlib.eval_condition`)
     text = (
         "REFACTORING r(M)\n    X\n    -----\n    X\n"
         "WHEN\n    M = module(THIS)\n"
     )
-    diags = validate(parse_refl(text))
-    assert any("more than once" in d for d in diags)
+    assert diagnostics(text) == []
+
+
+def rule_when(cond: str) -> str:
+    return f"REFACTORING r()\n    X\n    -----\n    X\nWHEN\n    {cond}\n"
+
+
+@pytest.mark.parametrize("name", sorted(SEMANTIC))
+def test_each_semantic_function_validates_at_its_arity(name):
+    arity = SEMANTIC[name].arity
+    assert diagnostics(rule_when(f"{name}({', '.join(['X'] * arity)})")) == []
+    too_many = rule_when(f"{name}({', '.join(['X'] * (arity + 1))})")
+    assert diagnostics(too_many) == [
+        f"r: condition: {name} expects {arity} argument(s), got {arity + 1}"
+    ]
+
+
+@pytest.mark.parametrize(
+    "cond, fault",
+    [
+        ("nosuchpredicate(X)", "unknown semantic function nosuchpredicate"),
+        ("atom(X) AND X.foo()", "refactoring invocation .foo(..) is not allowed"),
+        ("fresh(v)", "fresh expects a metavariable argument"),
+        ("atom(fresh(Y))", "fresh binds a metavariable and has no value"),
+        ("atom(NOT X)", "cannot evaluate CNot as a value"),
+    ],
+)
+def test_condition_faults(cond, fault):
+    assert diagnostics(rule_when(cond)) == [f"r: condition: {fault}"]
+
+
+def test_modifier_faults():
+    text = "REFACTORING r()\nIN THIS.body()\n    X\n    -----\n    X\n"
+    assert diagnostics(text) == ["r: IN modifier: refactoring invocation .body(..) is not allowed"]
+
+
+def test_composite_applications_must_resolve():
+    text = (
+        "REFACTORING c()\nDO\n    THIS.nosuch(1)\n    copy_function(name(function(THIS)))\n"
+        "    X = nosuch(THIS)\n    THIS.copy_function(length(THIS, 2))\n"
+    )
+    assert diagnostics(text) == [
+        "c: unknown refactoring nosuch/1",
+        "c: unknown semantic function nosuch",
+        "c: length expects 1 argument(s), got 2",
+    ]
+
+
+def test_readme_lists_every_semantic_function_and_builtin():
+    readme = (DEFS_DIR.parent.parent.parent / "README.md").read_text()
+    catalog = [(name, sem.arity) for name, sem in SEMANTIC.items()] + list(BUILTINS)
+    assert [f"{n}/{a}" for n, a in catalog if f"`{n}/{a}`" not in readme] == []
 
 
 def test_reference_var_must_occur_on_both_sides():
@@ -211,5 +257,5 @@ def test_reference_var_must_occur_on_both_sides():
         "DEFINITION\n    X\n    -----\n    X\n"
         "REFERENCE F\n    F\n    -----\n    ok\n"
     )
-    diags = validate(parse_refl(text))
+    diags = diagnostics(text)
     assert any("both" in d for d in diags)

@@ -249,7 +249,7 @@ def test_sequence_replacement(g):
 
 def test_insert_form(g):
     g.txn_begin()
-    form = parse_module(b"-module(x).\nk() -> ok.\n").forms[0]
+    form = t.copy_fresh(parse_module(b"-module(x).\nk() -> ok.\n").forms[0])
     g.txn_insert_form("m", form, g.functions[("m", "f", 1)].form)
     out = g.render("m")
     assert b"\nk() ->\n    ok.\n" in out
@@ -257,6 +257,24 @@ def test_insert_form(g):
     assert [(f.name, f.arity) for f in reparsed.forms] == [("f", 1), ("k", 0), ("g", 0), ("h", 1)]
     assert ("m", "k", 0) in g.functions
     g.txn_commit()
+
+
+def test_insert_form_refuses_a_form_with_spans(g):
+    # its spans index the text it was parsed from, so an edit inside it
+    # would splice that text's offsets into this module
+    g.txn_begin()
+    form = parse_module(b"-module(x).\nk(A) -> {A, b}.\n").forms[0]
+    objects = dict(g.objects)
+    with pytest.raises(GraphError, match="spans"):
+        g.txn_insert_form("m", form, g.functions[("m", "h", 1)].form)
+    assert g.objects == objects and ("m", "k", 1) not in g.functions
+    assert g.render("m") == SRC
+    form = t.copy_fresh(form)
+    g.txn_insert_form("m", form, g.functions[("m", "h", 1)].form)
+    g.txn_replace(form.clauses[0].body[0].elems[1].nid, t.Atom("c"))
+    assert g.render("m").endswith(b"\nk(A) ->\n    {A, c}.\n")
+    g.txn_rollback()
+    assert g.render("m") == SRC
 
 
 def test_export_entry_replacement(g):
@@ -299,7 +317,7 @@ def test_node_indexes_follow_every_edit(g):
     g.txn_replace(call.args[0].nid, t.Integer(7))  # a parsed node inside a replacement
     check(g)
     g.txn_begin()
-    form = parse_module(b"-module(x).\nk(A) -> {A}.\n").forms[0]
+    form = t.copy_fresh(parse_module(b"-module(x).\nk(A) -> {A}.\n").forms[0])
     g.txn_insert_form("m", form, g.functions[("m", "f", 1)].form)
     check(g)
     g.txn_replace(form.clauses[0].body[0].nid, [t.Atom("one"), t.Atom("two")])
@@ -335,7 +353,7 @@ def test_inner_commit_then_outer_rollback_restores_the_objects(g):
     g.txn_replace(g.lookup_at("m", 5, 5), t.Var("Y2"))
     g.txn_replace(g.lookup_at("m", 6, 5), t.Atom("done"))
     g.txn_commit()
-    g.txn_insert_form("m", parse_module(b"-module(x).\nk() -> ok.\n").forms[0],
+    g.txn_insert_form("m", t.copy_fresh(parse_module(b"-module(x).\nk() -> ok.\n").forms[0]),
                       g.functions[("m", "g", 0)].form)
     g.txn_rollback()
     assert g.render("m") == SRC
@@ -427,7 +445,7 @@ def test_semantic_indexes_follow_every_edit(g):
     check(g)
     assert not g.functions[("m", "g", 0)].pure
     g.txn_begin()
-    form = parse_module(b"-module(x).\nk(A) -> B = A, f(B).\n").forms[0]
+    form = t.copy_fresh(parse_module(b"-module(x).\nk(A) -> B = A, f(B).\n").forms[0])
     g.txn_insert_form("m", form, g.functions[("m", "f", 1)].form)
     check(g)
     match = form.clauses[0].body[0]

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from miniref import tree as t
+from miniref import engine, semlib, tree as t
 from miniref.lexer import MiniErlangSyntaxError
 from miniref.parser import parse_clause_pattern, parse_expr, parse_module
 from miniref.printer import SpliceError, print_expr, print_module, splice
@@ -275,3 +275,15 @@ def test_only_the_tree_module_reads_the_node_schema():
         if banned.search(line)
     ]
     assert hits == []
+
+
+def test_semantic_and_builtin_names_are_dispatched_only_by_their_tables():
+    # the evaluator and `engine.validate` read `semlib.SEMANTIC` and
+    # `engine.BUILTINS`; a name spelled anywhere else in those modules
+    # (say, a `name == "fresh"` branch) is a second catalog
+    src = Path(t.__file__).parent
+    text = (src / "semlib.py").read_text() + (src / "engine.py").read_text()
+    names = list(semlib.SEMANTIC) + [name for name, _ in engine.BUILTINS]
+    spelled = {n: len(re.findall(rf"""["']{n}["']""", text)) for n in names}
+    assert spelled == {n: 1 for n in names}
+    assert not re.search(r"\bdef _arity\b|\bBUILTIN_REFACS\b", text)
