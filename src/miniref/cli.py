@@ -45,7 +45,8 @@ OK, FAILED, UNKNOWN, USAGE = 0, 1, 2, 3
 
 
 class DefinitionError(Exception):
-    """Definitions that do not validate: one argument per fault, naming its file."""
+    """Definitions that do not parse or validate: one argument per fault,
+    naming its file."""
 
 
 def _load_definitions(extra: list[str]) -> list:
@@ -56,7 +57,11 @@ def _load_definitions(extra: list[str]) -> list:
     defs: list = []
     origin: dict[int, str] = {}
     for name, entry in files:
-        for d in parse_refl(entry.read_text()):
+        try:
+            parsed = parse_refl(entry.read_text())
+        except ReflSyntaxError as e:
+            raise DefinitionError(f"{name}: {e}") from None
+        for d in parsed:
             origin[id(d)] = name
             defs.append(d)
     diags = validate(defs)
@@ -278,7 +283,7 @@ def main(argv=None) -> int:
         for line in e.args:
             print(f"error: {line}", file=sys.stderr)
         return USAGE
-    except (MiniErlangSyntaxError, ReflSyntaxError, GraphError, OSError, ValueError) as e:
+    except (MiniErlangSyntaxError, GraphError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
     except RecursionError:

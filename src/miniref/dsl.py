@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 
 from . import tree as t
-from .lexer import MiniErlangSyntaxError, Token, tokenize
+from .lexer import MiniErlangSyntaxError, TokenStream
 from .parser import parse_clause_pattern, parse_expr_seq
 from .printer import atom_text
 
@@ -139,41 +139,23 @@ class ReflSyntaxError(MiniErlangSyntaxError):
 # --- condition parsing ------------------------------------------------------
 
 
-class _CondParser:
+class _CondParser(TokenStream):
+    """Conditions are one line of the `.refl` file: errors carry that line."""
+
     def __init__(self, text: str, line: int = 1):
         try:
-            self.toks = tokenize(text)
+            super().__init__(text)
         except MiniErlangSyntaxError as e:
             raise ReflSyntaxError(str(e), line, 1) from None
-        self.pos = 0
         self.line = line
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
-    def next(self) -> Token:
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def accept(self, kind: str, value: str | None = None) -> Token | None:
-        tok = self.peek()
-        if tok.kind == kind and (value is None or tok.value == value):
-            return self.next()
-        return None
-
-    def expect(self, kind: str) -> Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ReflSyntaxError(f"unexpected {tok.value!r}", self.line, tok.col, [kind])
-        return tok
+    def error(self, message: str, expected: list[str] | None = None) -> ReflSyntaxError:
+        return ReflSyntaxError(message, self.line, self.peek().col, expected)
 
     def parse(self) -> CondExpr:
         e = self.parse_or()
-        if self.peek().kind != "EOF":
-            raise ReflSyntaxError(
-                f"trailing input {self.peek().value!r} in condition", self.line, self.peek().col
-            )
+        if not self.at("EOF"):
+            raise self.error(f"trailing input {self.peek().value!r} in condition")
         return e
 
     def parse_or(self) -> CondExpr:
@@ -223,23 +205,25 @@ class _CondParser:
         return args
 
     def parse_primary(self) -> CondExpr:
-        tok = self.next()
-        if tok.kind == "VAR":
-            if tok.value == "THIS":
-                return CThis()
-            is_list = bool(self.accept("DOTDOT"))
-            return CVar(tok.value, is_list)
-        if tok.kind == "ATOM":
-            if self.accept("LPAREN"):
-                return CCall(tok.value, self.parse_args())
-            return CAtom(tok.value)
-        if tok.kind == "INT":
-            return CInt(int(tok.value))
-        if tok.kind == "LPAREN":
+        tok = self.peek()
+        kind = tok.kind
+        if kind == "LPAREN":
+            self.next()
             e = self.parse_or()
             self.expect("RPAREN")
             return e
-        raise ReflSyntaxError(f"unexpected {tok.value!r} in condition", self.line, tok.col)
+        if kind not in ("VAR", "ATOM", "INT"):
+            raise self.error(f"unexpected {tok.value!r} in condition")
+        self.next()
+        if kind == "INT":
+            return CInt(int(tok.value))
+        if kind == "ATOM":
+            if self.accept("LPAREN"):
+                return CCall(tok.value, self.parse_args())
+            return CAtom(tok.value)
+        if tok.value == "THIS":
+            return CThis()
+        return CVar(tok.value, bool(self.accept("DOTDOT")))
 
 
 def parse_condition(text: str, line: int = 1) -> CondExpr:
@@ -257,15 +241,12 @@ _NAME = re.compile(r"^\s*([a-z][a-zA-Z0-9_]*)\s*\(([^)]*)\)\s*$")
 _KEYWORD_LINE = re.compile(r"^(WHEN|THEN|OR|DO|RETURN|DEFINITION|REFERENCE)\b")
 
 
+# a line up to its first `%` outside a quoted atom
+_UNCOMMENTED = re.compile(r"(?:[^'%]|'[^']*(?:'|$))*")
+
+
 def _strip_comment(line: str) -> str:
-    out, quoted = [], False
-    for c in line:
-        if c == "'":
-            quoted = not quoted
-        if c == "%" and not quoted:
-            break
-        out.append(c)
-    return "".join(out).rstrip()
+    return _UNCOMMENTED.match(line).group().rstrip()
 
 
 class _ReflParser:
@@ -315,8 +296,9 @@ class _ReflParser:
         if kw == "FUNCTION SIGNATURE REFACTORING":
             if not rest:
                 self.skip_blank()
-                rest = self.cur().strip()
-                self.i += 1
+                if not self.eof():
+                    rest = self.cur().strip()
+                    self.i += 1
             name, params = self._name_params(rest)
             step = self.parse_rule_step(allow_modifier=False)
             return SchemeDef("signature", name, params, rule=step)

@@ -761,6 +761,30 @@ def _cond_bound(c: CondExpr | None) -> list[str]:
     return []
 
 
+def _unbound_uses(c: CondExpr, bound: set[str]) -> list[str]:
+    """The metavariables `c` reads, left to right, before `bound` or an
+    earlier part of `c` binds them; what `c` binds is added to `bound`."""
+    if isinstance(c, CVar):
+        return [] if c.name in bound else [c.name]
+    if isinstance(c, CCall) and c.name in SEMANTIC and SEMANTIC[c.name].binds:
+        bound.update(_cond_bound(c))  # `fresh(M)` binds M
+        return []
+    if isinstance(c, (CAnd, COr)):
+        parts = [c.left, c.right]
+    elif isinstance(c, CNot):
+        parts = [c.arg]
+    elif isinstance(c, CBind):
+        parts = [c.expr]
+    elif isinstance(c, CInvoke):
+        parts = [c.recv, *c.args]
+    else:
+        parts = c.args if isinstance(c, CCall) else []
+    out = [name for p in parts for name in _unbound_uses(p, bound)]
+    if isinstance(c, CBind):
+        bound.add(c.name)
+    return out
+
+
 def _faults(c: CondExpr, refacs: set | None, conjunct: bool) -> list[str]:
     """What evaluating `c` would reject.  `refacs` holds the (name, arity)
     keys that a composite may apply; it is None in a condition or a
@@ -848,7 +872,8 @@ def validate(defs: list) -> list[tuple[object, str]]:
     """The faults of `defs` that a run would meet, as (definition, message)
     pairs; each message starts with the definition's name.  A set that
     validates clean names only semantic functions, definitions and builtins
-    that exist, with their arities, and builds only bound metavariables."""
+    that exist, with their arities, and reads and builds only bound
+    metavariables."""
     diags: list[tuple[object, str]] = []
     seen: set[tuple[str, int]] = set()
     composites = {d.name: d for d in defs if isinstance(d, CompositeDef)}
@@ -872,7 +897,8 @@ def validate(defs: list) -> list[tuple[object, str]]:
         # `M = e` on a bound M compares, so a name may be bound more than once
         bound = set(d.params) | {"THIS"}
         for step in _rule_steps(d):
-            bound |= _pattern_metavars(step.matching) | set(_cond_bound(step.condition))
+            bound |= _pattern_metavars(step.matching)
+            unbound = _unbound_uses(step.condition, bound) if step.condition else []
             for name in sorted(_pattern_metavars(step.replacement) - bound):
                 msgs.append(f"{name} unbindable in replacement")
             for p, where in ((step.matching, "matching"), (step.replacement, "replacement")):
@@ -880,9 +906,15 @@ def validate(defs: list) -> list[tuple[object, str]]:
                     msgs.append(f"list metavariable {name}.. in a non-sequence position in {where}")
             if step.condition is not None:
                 msgs.extend(f"condition: {f}" for f in _faults(step.condition, None, True))
+            msgs.extend(f"condition: unbound metavariable {name}" for name in unbound)
             if step.modifier is not None:
+                # `run_combined` resolves every modifier before the first step
                 kind, expr = step.modifier
                 msgs.extend(f"{kind} modifier: {f}" for f in _faults(expr, None, False))
+                msgs.extend(
+                    f"{kind} modifier: {name} is not a parameter"
+                    for name in _unbound_uses(expr, set(d.params))
+                )
 
         if isinstance(d, SelectorDef):
             if d.returns not in _pattern_metavars(d.matching) | set(d.params):
@@ -891,8 +923,13 @@ def validate(defs: list) -> list[tuple[object, str]]:
                 msgs.append(f"list metavariable {name}.. in a non-sequence position")
 
         if isinstance(d, CompositeDef):
+            assigned = set(d.params)
             for stmt in d.body:
                 msgs.extend(_faults(stmt.call, refacs, False))
+                unassigned = _unbound_uses(stmt.call, assigned)
+                msgs.extend(f"{name} is used before it is assigned" for name in unassigned)
+                if stmt.var is not None:
+                    assigned.add(stmt.var)
         diags.extend((d, f"{d.name}: {m}") for m in msgs)
 
     # composite recursion (direct or mutual)

@@ -586,7 +586,7 @@ class SemanticGraph:
             if isinstance(rep, _FormInsertion):
                 rep = _form_insertion_text(rep)
             edits.append((tuple(span), rep))
-        return splice(mod.text, edits)
+        return splice(mod.text.decode("utf-8"), edits).encode("utf-8")
 
     def to_dot(self) -> str:
         lines = ["digraph semantic_graph {"]

@@ -1,5 +1,8 @@
 """Recursive-descent parser for mini-Erlang modules and expressions.
 
+Every parsed node carries a span `(start, end)` of character offsets into
+the decoded text; `SourceModule.text` keeps that text's UTF-8 bytes.
+
 `meta=True` switches variables to metavariables and enables `Name..` list
 metavariables; the refactoring DSL parses its pattern bodies this way.
 """
@@ -7,58 +10,23 @@ metavariables; the refactoring DSL parses its pattern bodies this way.
 from __future__ import annotations
 
 from . import tree as t
-from .lexer import MiniErlangSyntaxError, Token, tokenize
+from .lexer import Token, TokenStream
 
 KEYWORDS = {"begin", "case", "of", "end", "fun"}
 
 
-class _Parser:
+class _Parser(TokenStream):
     def __init__(self, text: str, meta: bool = False):
+        super().__init__(text)
         self.text = text
-        self.toks = tokenize(text)
-        self.pos = 0
         self.meta = meta
-
-    # -- token plumbing ------------------------------------------------------
-
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-
-    def next(self) -> Token:
-        tok = self.toks[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def at(self, kind: str, value: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (value is None or tok.value == value)
-
-    def at_kw(self, word: str) -> bool:
-        return self.at("ATOM", word)
-
-    def accept(self, kind: str, value: str | None = None) -> Token | None:
-        if self.at(kind, value):
-            return self.next()
-        return None
-
-    def expect(self, kind: str, value: str | None = None) -> Token:
-        tok = self.peek()
-        if not self.at(kind, value):
-            raise self.error(f"unexpected {tok.value or tok.kind!r}", [value or kind])
-        return self.next()
-
-    def error(self, message: str, expected: list[str] | None = None) -> MiniErlangSyntaxError:
-        tok = self.peek()
-        return MiniErlangSyntaxError(message, tok.line, tok.col, expected)
 
     # -- expressions ---------------------------------------------------------
 
     def parse_expr(self) -> t.Expr:
         start = self.peek()
         lhs = self.parse_sum()
-        if self.at("EQ"):
-            self.next()
+        if self.accept("EQ"):
             self.check_pattern(lhs)
             rhs = self.parse_expr()
             return self.spanned(t.Match(lhs, rhs), start)
@@ -67,7 +35,7 @@ class _Parser:
     def parse_sum(self) -> t.Expr:
         start = self.peek()
         e = self.parse_app()
-        while self.at("PLUS") or self.at("PLUSPLUS"):
+        while self.peek().kind in ("PLUS", "PLUSPLUS"):
             op = self.next().value
             rhs = self.parse_app()
             e = self.spanned(t.BinOp(op, e, rhs), start)
@@ -77,14 +45,15 @@ class _Parser:
         start = self.peek()
         e = self.parse_primary()
         while True:
-            if self.at("COLON"):
+            kind = self.peek().kind
+            if kind == "COLON":
                 self.next()
                 name = self.parse_primary()
                 self.expect("LPAREN")
                 args = self.parse_arg_list()
                 self.expect("RPAREN")
                 e = self.spanned(t.RemoteCall(e, name, args), start)
-            elif self.at("LPAREN"):
+            elif kind == "LPAREN":
                 self.next()
                 args = self.parse_arg_list()
                 self.expect("RPAREN")
@@ -92,72 +61,65 @@ class _Parser:
             else:
                 return e
 
-    def parse_arg_list(self) -> list[t.Expr]:
-        if self.at("RPAREN"):
-            return []
-        args = [self.parse_expr()]
-        while self.accept("COMMA"):
-            args.append(self.parse_expr())
-        return args
+    def parse_arg_list(self, closer: str = "RPAREN") -> list[t.Expr]:
+        """Expressions separated by commas, up to but not including `closer`."""
+        return [] if self.at(closer) else self.parse_expr_seq()
 
     def parse_primary(self) -> t.Expr:
-        start = self.peek()
-        if self.at("INT"):
-            tok = self.next()
-            return self.spanned(t.Integer(int(tok.value)), start)
-        if self.at("VAR"):
-            tok = self.next()
-            if self.meta:
-                if self.accept("DOTDOT"):
-                    return self.spanned(t.ListMetavar(tok.value), start)
-                return self.spanned(t.Metavar(tok.value), start)
-            return self.spanned(t.Var(tok.value), start)
-        if self.at_kw("begin"):
+        tok = self.peek()
+        kind, value = tok.kind, tok.value
+        if kind == "VAR":
             self.next()
-            exprs = self.parse_expr_seq()
-            self.expect("ATOM", "end")
-            return self.spanned(t.Block(exprs), start)
-        if self.at_kw("case"):
-            return self.parse_case(start)
-        if self.at_kw("fun"):
-            return self.parse_fun(start)
-        if self.at("ATOM") and self.peek().value not in KEYWORDS:
-            tok = self.next()
-            return self.spanned(t.Atom(tok.value), start)
-        if self.at("LBRACK"):
-            return self.parse_list(start)
-        if self.at("LBRACE"):
+            if not self.meta:
+                return self.spanned(t.Var(value), tok)
+            if self.accept("DOTDOT"):
+                return self.spanned(t.ListMetavar(value), tok)
+            return self.spanned(t.Metavar(value), tok)
+        if kind == "ATOM":
+            if value == "case":
+                return self.parse_case(tok)
+            if value == "fun":
+                return self.parse_fun(tok)
+            if value == "begin":
+                self.next()
+                exprs = self.parse_expr_seq()
+                self.expect("ATOM", "end")
+                return self.spanned(t.Block(exprs), tok)
+            if value not in KEYWORDS:
+                self.next()
+                return self.spanned(t.Atom(value), tok)
+        elif kind == "INT":
             self.next()
-            elems: list[t.Expr] = []
-            if not self.at("RBRACE"):
-                elems.append(self.parse_expr())
-                while self.accept("COMMA"):
-                    elems.append(self.parse_expr())
+            return self.spanned(t.Integer(int(value)), tok)
+        elif kind == "LBRACK":
+            return self.parse_list(tok)
+        elif kind == "LBRACE":
+            self.next()
+            elems = self.parse_arg_list("RBRACE")
             self.expect("RBRACE")
-            return self.spanned(t.Tuple(elems), start)
-        if self.at("LPAREN"):
+            return self.spanned(t.Tuple(elems), tok)
+        elif kind == "LPAREN":
             self.next()
             e = self.parse_expr()
             self.expect("RPAREN")
             return e
-        raise self.error(
-            f"unexpected {self.peek().value or self.peek().kind!r}",
-            ["expression"],
-        )
+        raise self.error(f"unexpected {value or kind!r}", ["expression"])
 
     def parse_expr_seq(self) -> list[t.Expr]:
-        exprs = [self.parse_expr()]
-        while self.accept("COMMA"):
-            exprs.append(self.parse_expr())
-        return exprs
+        return self.parse_sep(self.parse_expr, "COMMA")
+
+    def parse_sep(self, item, sep: str) -> list:
+        """One or more `item()`s separated by `sep` tokens."""
+        out = [item()]
+        while self.accept(sep):
+            out.append(item())
+        return out
 
     def parse_case(self, start: Token) -> t.Expr:
         self.expect("ATOM", "case")
         scrut = self.parse_expr()
         self.expect("ATOM", "of")
-        clauses = [self.parse_case_clause()]
-        while self.accept("SEMI"):
-            clauses.append(self.parse_case_clause())
+        clauses = self.parse_sep(self.parse_case_clause, "SEMI")
         self.expect("ATOM", "end")
         return self.spanned(t.Case(scrut, clauses), start)
 
@@ -171,45 +133,32 @@ class _Parser:
 
     def parse_fun(self, start: Token) -> t.Expr:
         self.expect("ATOM", "fun")
-        clauses = [self.parse_fun_clause()]
-        while self.accept("SEMI"):
-            clauses.append(self.parse_fun_clause())
+        clauses = self.parse_sep(self.parse_fun_clause, "SEMI")
         self.expect("ATOM", "end")
         arities = {len(c.patterns) for c in clauses}
         if len(arities) != 1:
             raise self.error("fun clauses must share one arity")
         return self.spanned(t.Fun(clauses), start)
 
-    def parse_fun_clause(self) -> t.Clause:
-        start = self.peek()
+    def parse_fun_clause(self, name: str | None = None, start: Token | None = None) -> t.Clause:
+        """`(Patterns) -> Body`: a clause of a fun, or with `name` of a form."""
+        start = start or self.peek()
         self.expect("LPAREN")
-        pats = self.parse_pattern_list("RPAREN")
-        self.expect("RPAREN")
-        self.expect("ARROW")
-        body = self.parse_expr_seq()
-        return self.spanned(t.Clause(None, pats, body), start)
-
-    def parse_pattern_list(self, closer: str) -> list[t.Expr]:
-        if self.at(closer):
-            return []
-        pats = [self.parse_expr()]
-        while self.accept("COMMA"):
-            pats.append(self.parse_expr())
+        pats = self.parse_arg_list()
         for p in pats:
             self.check_pattern(p, joint=pats)
-        return pats
+        self.expect("RPAREN")
+        self.expect("ARROW")
+        return self.spanned(t.Clause(name, pats, self.parse_expr_seq()), start)
 
     def parse_list(self, start: Token) -> t.Expr:
         self.expect("LBRACK")
-        if self.at("RBRACK"):
-            close = self.next()
+        close = self.accept("RBRACK")
+        if close:
             return self.spanned_tok(t.Nil(), start, close)
         first = self.parse_expr()
-        if self.at("BARBAR"):
-            self.next()
-            quals: list[t.Node] = [self.parse_qualifier()]
-            while self.accept("COMMA"):
-                quals.append(self.parse_qualifier())
+        if self.accept("BARBAR"):
+            quals = self.parse_sep(self.parse_qualifier, "COMMA")
             close = self.expect("RBRACK")
             return self.spanned_tok(t.ListComp(first, quals), start, close)
         elems = [first]
@@ -246,8 +195,7 @@ class _Parser:
         start = self.peek()
         mod_name: str | None = None
         exports: list[t.ExportEntry] = []
-        while self.at("DASH"):
-            self.next()
+        while self.accept("DASH"):
             attr = self.expect("ATOM")
             if attr.value == "module":
                 self.expect("LPAREN")
@@ -261,9 +209,7 @@ class _Parser:
                 self.expect("LPAREN")
                 self.expect("LBRACK")
                 if not self.at("RBRACK"):
-                    exports.append(self.parse_export_entry())
-                    while self.accept("COMMA"):
-                        exports.append(self.parse_export_entry())
+                    exports += self.parse_sep(self.parse_export_entry, "COMMA")
                 self.expect("RBRACK")
                 self.expect("RPAREN")
                 self.expect("DOT")
@@ -288,9 +234,7 @@ class _Parser:
 
     def parse_form(self) -> t.FunctionForm:
         start = self.peek()
-        clauses = [self.parse_form_clause()]
-        while self.accept("SEMI"):
-            clauses.append(self.parse_form_clause())
+        clauses = self.parse_sep(self.parse_form_clause, "SEMI")
         dot = self.expect("DOT")
         names = {c.name for c in clauses}
         arities = {len(c.patterns) for c in clauses}
@@ -305,12 +249,7 @@ class _Parser:
         name = self.expect("ATOM")
         if name.value in KEYWORDS:
             raise self.error(f"{name.value!r} cannot name a function")
-        self.expect("LPAREN")
-        pats = self.parse_pattern_list("RPAREN")
-        self.expect("RPAREN")
-        self.expect("ARROW")
-        body = self.parse_expr_seq()
-        return self.spanned(t.Clause(name.value, pats, body), start)
+        return self.parse_fun_clause(name.value, start)
 
     # -- helpers -------------------------------------------------------------
 

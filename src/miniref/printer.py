@@ -1,8 +1,8 @@
 """Canonical pretty-printer and span-preserving splicer.
 
 Layout is deterministic: one expression per line inside blocks and clause
-bodies, 4-space indentation.  `splice` leaves every byte outside the edited
-spans untouched.
+bodies, 4-space indentation.  `splice` leaves every character outside the
+edited spans untouched.
 """
 
 from __future__ import annotations
@@ -169,12 +169,14 @@ def _edit_text(replacement) -> str:
     return print_expr(replacement)
 
 
-def splice(original: bytes, edits: list[Edit]) -> bytes:
+def splice(original: str, edits: list[Edit]) -> str:
+    """`original` with each edit's span, in characters, replaced by the
+    edit's text; a printed node is indented to its span's column."""
     ordered = sorted(edits, key=lambda e: e[0])
     for (span_a, _), (span_b, _) in zip(ordered, ordered[1:]):
         if span_a[1] > span_b[0]:
             raise SpliceError(f"overlapping edit spans {span_a} and {span_b}")
-    out: list[bytes] = []
+    out: list[str] = []
     pos = 0
     for (start, end), replacement in ordered:
         if start < pos or end > len(original) or start > end:
@@ -182,10 +184,9 @@ def splice(original: bytes, edits: list[Edit]) -> bytes:
         out.append(original[pos:start])
         text = _edit_text(replacement)
         if not isinstance(replacement, str):
-            line_start = original.rfind(b"\n", 0, start) + 1
-            col = start - line_start
+            col = start - (original.rfind("\n", 0, start) + 1)
             text = text.replace("\n", "\n" + " " * col)
-        out.append(text.encode("utf-8"))
+        out.append(text)
         pos = end
     out.append(original[pos:])
-    return b"".join(out)
+    return "".join(out)

@@ -1,8 +1,8 @@
 """AST node types for the mini-Erlang subset.
 
-Every node carries a unique id and an optional byte span into the source it
-was parsed from.  Nodes built by transformations have no span.  Structural
-equality deliberately ignores ids and spans.
+Every node carries a unique id and an optional span, in characters, into the
+decoded source text it was parsed from.  Nodes built by transformations have
+no span.  Structural equality deliberately ignores ids and spans.
 
 The pattern-language extensions (metavariables) and the verifier's symbolic
 leaves (math variables) live here too, so the printer and equality helpers

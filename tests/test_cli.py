@@ -99,6 +99,11 @@ BAD_DEFINITIONS = {
     "invocation": ("    X\n    -----\n    X\nWHEN\n    X.foo()\n",
                    "condition: refactoring invocation .foo(..) is not allowed"),
     "composite": ("DO\n    THIS.nosuch(1)\n", "unknown refactoring nosuch/1"),
+    "unbound_condition": ("    X\n    -----\n    X\nWHEN atom(Q)\n",
+                          "condition: unbound metavariable Q"),
+    "unassigned_local": ("DO\n    Y.wrap_into_fun()\n", "Y is used before it is assigned"),
+    "modifier": ("ON function_clauses(X)\n    X\n    -----\n    X\n",
+                 "ON modifier: X is not a parameter"),
 }
 
 
@@ -120,6 +125,21 @@ def test_a_bad_definition_is_exit_3_at_load(work, tmp_path, capsys, command, bad
     assert main(args) == 3
     assert capsys.readouterr() == ("", f"error: {refl}: bad: {fault}\n")
     assert work.read_bytes() == APPLE.read_bytes()
+
+
+def test_a_refl_syntax_error_names_its_file(work, tmp_path, capsys):
+    refl = tmp_path / "nosep.refl"
+    refl.write_text("REFACTORING r()\n    X\nWHEN\n    atom(X)\n")
+    assert main(["apply", str(work), "r", "--at", "6:17", "--defs", str(refl)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {refl}: 3:1: matching pattern is missing its ----- separator\n"
+
+
+def test_a_header_on_the_last_line_is_a_syntax_error(tmp_path, capsys):
+    refl = tmp_path / "sig.refl"
+    refl.write_text("FUNCTION SIGNATURE REFACTORING")
+    assert main(["check-contract", "foo", "--defs", str(refl)]) == 3
+    assert capsys.readouterr().err == f"error: {refl}: 2:1: expected name(params), found ''\n"
 
 
 def test_definitions_are_checked_before_the_module_is_read(tmp_path, capsys):
@@ -152,6 +172,18 @@ def test_group_prefix_from_defs_applies(tmp_path, capsys):
     assert "the condition rejects all" in capsys.readouterr().err
     assert apply("2", "--write") == 0
     assert work.read_bytes() == b"-module(m).\nf() -> {{a, b}, c, d}.\n"
+
+
+def test_edits_after_non_ascii_text_land_on_their_characters(tmp_path):
+    # spans count characters; `é` and `è` take two bytes each in UTF-8
+    work = tmp_path / "m.erl"
+    work.write_text("-module(m).\n\n% café\ng(X) -> X + 1.\nf(Y) -> {'crème', g(Y)}.\n")
+    assert main(["apply", str(work), "rename_function", "h", "--fun", "g/1", "--write"]) == 0
+    assert work.read_bytes() == (
+        "-module(m).\n\n% café\nh(X) ->\n    X + 1.\nf(Y) -> {'crème', h(Y)}.\n"
+    ).encode()
+    assert main(["apply", str(work), "wrap_into_fun", "--at", "6:20", "--write"]) == 0
+    assert work.read_text().endswith("f(Y) -> {'crème', (fun() -> h(Y) end)()}.\n")
 
 
 def test_apply_without_target_is_usage_error(work, capsys):

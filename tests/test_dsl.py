@@ -259,3 +259,50 @@ def test_reference_var_must_occur_on_both_sides():
     )
     diags = diagnostics(text)
     assert any("both" in d for d in diags)
+
+
+@pytest.mark.parametrize(
+    "text, faults",
+    [
+        (rule_when("atom(Q)"), ["r: condition: unbound metavariable Q"]),
+        (rule_when("atom(Q) AND Q = module(THIS)"), ["r: condition: unbound metavariable Q"]),
+        (rule_when("Q = module(THIS) AND atom(Q)"), []),
+        (rule_when("fresh(Q) AND atom(Q)"), []),
+        (
+            "REFACTORING r(N)\nIN function_clauses(N)\n    X\n    -----\n    X\n"
+            "THEN ON function_clauses(X)\n    X\n    -----\n    X\n",
+            ["r: ON modifier: X is not a parameter"],
+        ),
+        (
+            "REFACTORING r()\n    X\n    -----\n    X\nWHEN M = module(THIS)\n"
+            "THEN\n    Y\n    -----\n    Y\nWHEN atom(M)\n",
+            [],
+        ),
+        (
+            "REFACTORING c(N)\nDO\n    Y.add_parameter()\n    Y = function(THIS)\n"
+            "    THIS.copy_function(N)\n    Y.add_parameter()\n",
+            ["c: Y is used before it is assigned"],
+        ),
+    ],
+    ids=["condition", "later-conjunct", "earlier-conjunct", "fresh", "modifier",
+         "earlier-step", "composite-local"],
+)
+def test_names_read_before_they_are_bound(text, faults):
+    assert diagnostics(text) == faults
+
+
+@pytest.mark.parametrize(
+    "name", ["local.refl", "extensive.refl", "schemes.refl", "composite.refl"]
+)
+def test_every_line_prefix_and_suffix_loads_or_is_a_syntax_error(name):
+    # a cut-off file either parses, and validation reports its faults, or
+    # raises a syntax error; no other exception escapes
+    others = [d for f in sorted(DEFS_DIR.glob("*.refl")) if f.name != name for d in load(f.name)]
+    lines = (DEFS_DIR / name).read_text().split("\n")
+    for k in range(len(lines) + 1):
+        for part in ("\n".join(lines[:k]), "\n".join(lines[k:])):
+            try:
+                defs = parse_refl(part)
+            except ReflSyntaxError:
+                continue
+            assert all(isinstance(msg, str) for _, msg in validate(others + defs))

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from miniref import engine, semlib, tree as t
-from miniref.lexer import MiniErlangSyntaxError
-from miniref.parser import parse_clause_pattern, parse_expr, parse_module
+from miniref.dsl import _CondParser
+from miniref.lexer import MiniErlangSyntaxError, Token, TokenStream, tokenize
+from miniref.parser import _Parser, parse_clause_pattern, parse_expr, parse_module
 from miniref.printer import SpliceError, print_expr, print_module, splice
 
 SAMPLE = b"""-module(fruit).
@@ -32,30 +33,30 @@ def test_parse_print_roundtrip_module():
 
 def test_splice_no_edits_is_identity():
     mod = parse_module(SAMPLE)
-    assert splice(mod.text, []) == SAMPLE
+    assert splice(SAMPLE.decode(), []) == SAMPLE.decode()
     assert mod.text == SAMPLE
 
 
 def test_single_edit_leaves_rest_of_bytes_alone():
-    src = b"-module(m).\nf() -> apple.\n"
+    src = "-module(m).\nf() -> apple.\n"
     mod = parse_module(src)
     apple = next(n for n in t.walk(mod) if isinstance(n, t.Atom) and n.name == "apple")
     out = splice(src, [(apple.span, t.Atom("pear"))])
-    assert out == b"-module(m).\nf() -> pear.\n"
+    assert out == "-module(m).\nf() -> pear.\n"
 
 
 def test_splice_reindents_to_span_column():
-    src = b"-module(m).\nf() ->\n    old.\n"
+    src = "-module(m).\nf() ->\n    old.\n"
     mod = parse_module(src)
     old = next(n for n in t.walk(mod) if isinstance(n, t.Atom) and n.name == "old")
     block = t.Block([t.Atom("a"), t.Atom("b")])
     out = splice(src, [(old.span, block)])
-    assert out == b"-module(m).\nf() ->\n    begin\n        a,\n        b\n    end.\n"
+    assert out == "-module(m).\nf() ->\n    begin\n        a,\n        b\n    end.\n"
 
 
 def test_splice_rejects_overlap():
     with pytest.raises(SpliceError):
-        splice(b"0123456789", [((0, 5), "x"), ((3, 7), "y")])
+        splice("0123456789", [((0, 5), "x"), ((3, 7), "y")])
 
 
 def test_spans_nest():
@@ -153,6 +154,117 @@ def test_list_comprehension_roundtrip():
 def test_case_prints_simple_bodies_inline():
     e = parse_expr("case H of 1 -> 2; 3 -> 4 end")
     assert print_expr(e) == "case H of\n    1 -> 2;\n    3 -> 4\nend"
+
+
+# -- the token table against the character-at-a-time tokenizer ---------------
+
+
+# the former `PUNCT`, in the order that gives longer literals precedence
+_REFERENCE_PUNCT = [
+    ("->", "ARROW"), ("<-", "GEN"), ("||", "BARBAR"), ("..", "DOTDOT"), ("++", "PLUSPLUS"),
+    ("(", "LPAREN"), (")", "RPAREN"), ("[", "LBRACK"), ("]", "RBRACK"), ("{", "LBRACE"),
+    ("}", "RBRACE"), (",", "COMMA"), (";", "SEMI"), (":", "COLON"), ("|", "BAR"), ("=", "EQ"),
+    ("+", "PLUS"), ("-", "DASH"), ("/", "SLASH"), (".", "DOT"),
+]
+
+
+def _reference_tokenize(text: str) -> list[tuple]:
+    """The former tokenizer, one character per step, as the reference for
+    the token table: (kind, value, start, end, line, col) per token."""
+    toks: list[tuple] = []
+    i, line, linestart = 0, 1, 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            linestart = i
+            continue
+        if c.isspace():
+            i += 1
+            continue
+        if c == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        col = i - linestart + 1
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(("INT", text[i:j], i, j, line, col))
+            i = j
+            continue
+        if c.isalpha() and c.islower():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(("ATOM", text[i:j], i, j, line, col))
+            i = j
+            continue
+        if c == "_" or (c.isalpha() and c.isupper()):
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(("VAR", text[i:j], i, j, line, col))
+            i = j
+            continue
+        if c == "'":
+            j = i + 1
+            while j < n and text[j] != "'":
+                if text[j] == "\n":
+                    raise MiniErlangSyntaxError("unterminated quoted atom", line, col)
+                j += 1
+            if j >= n:
+                raise MiniErlangSyntaxError("unterminated quoted atom", line, col)
+            toks.append(("ATOM", text[i + 1 : j], i, j + 1, line, col))
+            i = j + 1
+            continue
+        for lit, kind in _REFERENCE_PUNCT:
+            if text.startswith(lit, i):
+                toks.append((kind, lit, i, i + len(lit), line, col))
+                i += len(lit)
+                break
+        else:
+            raise MiniErlangSyntaxError(f"unexpected character {c!r}", line, col)
+    toks.append(("EOF", "", n, n, line, n - linestart + 1))
+    return toks
+
+
+def _token_tuples(text: str) -> list[tuple]:
+    return [(tok.kind, tok.value, tok.start, tok.end, tok.line, tok.col) for tok in tokenize(text)]
+
+
+def _tokens_or_error(tokenizer, text: str):
+    try:
+        return tokenizer(text)
+    except MiniErlangSyntaxError as e:
+        return str(e), e.line, e.col
+
+
+_FRAGMENTS = [lit for lit, _ in _REFERENCE_PUNCT] + [
+    "abc", "x1", "Var", "_", "_y", "0", "42", "7z", " ", "\t", "\n", "\r",
+    "% note", "%", "'", "'q a'", "é", "ª", "²", "É", "½", "&",
+]
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=24).map("".join))
+@example("12abc 3² ²x 'é' _é É1 ª")
+@example("a 'b\nc'")
+@example("x % 'unclosed\n'")
+def test_token_table_agrees_with_the_reference_tokenizer(text):
+    assert _tokens_or_error(_token_tuples, text) == _tokens_or_error(_reference_tokenize, text)
+
+
+def test_both_parsers_read_one_token_stream():
+    assert issubclass(_Parser, TokenStream) and issubclass(_CondParser, TokenStream)
+    plumbing = {"peek", "next", "at", "accept", "expect"}
+    assert plumbing.isdisjoint(vars(_Parser)) and plumbing.isdisjoint(vars(_CondParser))
+    tok = Token("INT", "1", 0, 1, 1, 1)
+    tok.value = "2"  # not frozen
+    assert not hasattr(tok, "__dict__")  # slotted
 
 
 # -- generative roundtrip ----------------------------------------------------
